@@ -29,8 +29,7 @@ use std::fmt::Write as _;
 
 use tpe_dse::emit::{to_csv, to_json};
 use tpe_dse::{
-    pareto_front_per_workload, sweep, sweep_with_cache, CycleModel, EngineCache, Objective,
-    SweepConfig,
+    pareto_front_per_workload, sweep_with_cache, CycleModel, EngineCache, Objective, SweepConfig,
 };
 
 /// Parsed CLI options for the sweep.
@@ -227,13 +226,14 @@ fn try_dse(args: &[String]) -> Result<String, String> {
         },
         &EngineCache::new(),
     );
-    let parallel = sweep(
+    let parallel = sweep_with_cache(
         &points,
         SweepConfig {
             threads: opts.threads,
             seed: opts.seed,
             cycle_model: opts.cycle_model,
         },
+        EngineCache::global(),
     );
     assert_eq!(
         serial.results, parallel.results,

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use tpe_dse::space::default_workloads;
 use tpe_engine::{roster, CycleModel, EngineCache, Evaluator, SweepWorkload, MODEL_SAMPLE_CAPS};
-use tpe_obs::{Registry, Snapshot};
+use tpe_obs::Snapshot;
 use tpe_workloads::models;
 
 /// The evaluator stages profiled, as registered in `tpe-engine::eval`
@@ -57,7 +57,7 @@ struct StageWindow {
     p99_us: f64,
 }
 
-/// Extracts the four stage windows from a `Registry` snapshot delta.
+/// Extracts the stage windows from a registry snapshot delta.
 fn stage_windows(delta: &Snapshot) -> Vec<StageWindow> {
     STAGES
         .iter()
@@ -188,10 +188,11 @@ fn try_profile(args: &[String]) -> Result<String, String> {
         }
     }
 
-    // A fresh cache so "cold" means cold; the stage histograms live in the
-    // process-wide registry, so the windows below are snapshot deltas.
+    // A fresh cache so "cold" means cold. The stage histograms live in
+    // that cache's own registry, so the windows below are exact: no other
+    // thread's work can land in them.
     let cache = EngineCache::new();
-    let registry = Registry::global();
+    let registry = cache.registry();
 
     let snap0 = registry.snapshot();
     let t0 = Instant::now();
@@ -353,10 +354,11 @@ mod tests {
     }
 
     /// Structural check on the quick profile: every stage row renders,
-    /// the workload exercised each cold stage, and the JSON artifact
-    /// carries the fields CI pins. (Dominance itself is asserted by CI
-    /// on a standalone full run — inside this parallel test binary other
-    /// tests record into the same global histograms.)
+    /// the JSON artifact carries the fields CI pins, and the warm window
+    /// records no cold-path span — exactly, since the windows read the
+    /// profile's own fresh cache and no other test can record into them.
+    /// (Dominance is asserted by CI on the full workload; the quick one
+    /// is too small to pin it.)
     #[test]
     fn quick_profile_renders_stages_and_json() {
         let out_path = std::env::temp_dir().join("tpe_profile_test.json");
@@ -368,6 +370,10 @@ mod tests {
         }
         assert!(report.contains("dominant cold stage:"), "{report}");
         assert!(report.contains("warm cached price:"), "{report}");
+        assert!(
+            report.contains("warm window cold-path records (all stages incl. model_assemble): 0 "),
+            "{report}"
+        );
         let json = std::fs::read_to_string(&out_path).unwrap();
         for field in [
             "\"dominant_cold_stage\"",
@@ -384,8 +390,8 @@ mod tests {
     /// The analytic profile runs the same workload through the
     /// closed-form path: the report and JSON carry the mode, and the
     /// cold window records into `serial_analytic` instead of
-    /// `serial_sample` rows (dominance itself is a CI assertion on a
-    /// standalone run, as above).
+    /// `serial_sample` rows (dominance itself is a CI assertion on the
+    /// full workload, as above).
     #[test]
     fn analytic_profile_records_the_analytic_stage() {
         let out_path = std::env::temp_dir().join("tpe_profile_analytic_test.json");

@@ -35,8 +35,7 @@ const HIT_RATE_MIN_QUERIES: usize = 500;
 use tpe_dse::space::default_workloads;
 use tpe_dse::{merge_shard_responses, DseOps, SweepWorkload};
 use tpe_engine::serve::{
-    parse_flat_object, query_batch, serve_with, serve_with_hook, BatchOps, JsonValue, ServeConfig,
-    ServeObs, SnapshotOps,
+    parse_flat_object, query_batch, serve_with, BatchOps, JsonValue, ServeConfig, SnapshotOps,
 };
 use tpe_engine::{roster, snapshot, CacheStats, CycleModel, EngineCache};
 use tpe_obs::HistogramSnapshot;
@@ -170,11 +169,13 @@ fn try_serve(args: &[String]) -> Result<String, String> {
     };
 
     // With a snapshot path configured the op surface gains `snapshot`
-    // (server-side save to that path — clients never choose the file).
+    // (server-side save to that path — clients never choose the file),
+    // plus the periodic save every `--snapshot-every` requests.
     let snap_ops;
     let ops: &dyn BatchOps = match &snapshot_path {
         Some(path) => {
-            snap_ops = SnapshotOps::new(&DseOps, path.clone());
+            snap_ops =
+                SnapshotOps::new(&DseOps, path.clone()).saving_every(snapshot_every.unwrap_or(0));
             &snap_ops
         }
         None => &DseOps,
@@ -193,28 +194,7 @@ fn try_serve(args: &[String]) -> Result<String, String> {
         config.cycle_model.name(),
     );
     std::io::stdout().flush().ok();
-    let outcome = match (&snapshot_path, snapshot_every) {
-        (Some(path), Some(every)) => {
-            let path = path.clone();
-            let hook = move |handled: u64| {
-                if handled.is_multiple_of(every) {
-                    if let Err(e) = snapshot::save(cache, &path) {
-                        eprintln!("warning: periodic snapshot failed: {e}");
-                    }
-                }
-            };
-            serve_with_hook(
-                listener,
-                cache,
-                ops,
-                config,
-                ServeObs::global(),
-                Some(&hook),
-            )
-        }
-        _ => serve_with_hook(listener, cache, ops, config, ServeObs::global(), None),
-    }
-    .map_err(|e| e.to_string())?;
+    let outcome = serve_with(listener, cache, ops, config).map_err(|e| e.to_string())?;
     let final_note = match &snapshot_path {
         Some(path) => match snapshot::save(cache, path) {
             Ok(info) => format!(

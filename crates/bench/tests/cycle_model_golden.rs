@@ -31,8 +31,8 @@
 
 use tpe_dse::emit::to_csv;
 use tpe_dse::{
-    pareto_front_per_workload, sweep, CycleModel, DesignPoint, DesignSpace, Objective, Precision,
-    SweepConfig,
+    pareto_front_per_workload, sweep_with_cache, CycleModel, DesignPoint, DesignSpace, EngineCache,
+    Objective, Precision, SweepConfig,
 };
 
 /// The W8 slice of the default space: 672 of the 2016 points — enough to
@@ -49,13 +49,14 @@ fn w8_points() -> Vec<DesignPoint> {
 }
 
 fn sweep_csv(points: &[DesignPoint], cycle_model: CycleModel) -> String {
-    let outcome = sweep(
+    let outcome = sweep_with_cache(
         points,
         SweepConfig {
             threads: 1,
             seed: 42,
             cycle_model,
         },
+        EngineCache::global(),
     );
     let front = pareto_front_per_workload(&outcome.results, &Objective::DEFAULT);
     to_csv(&outcome.results, &front)

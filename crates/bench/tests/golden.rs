@@ -8,7 +8,9 @@
 //! evaluator must either keep these bytes or consciously regenerate them.
 
 use tpe_dse::emit::{model_csv, to_csv};
-use tpe_dse::{pareto_front_per_workload, sweep, DesignSpace, Objective, SweepConfig};
+use tpe_dse::{
+    pareto_front_per_workload, sweep_with_cache, DesignSpace, EngineCache, Objective, SweepConfig,
+};
 use tpe_engine::{EngineSpec, Evaluator};
 use tpe_pipeline::{run_grid, GridConfig};
 use tpe_workloads::NetworkModel;
@@ -109,13 +111,14 @@ fn strip_w8_precision_column(csv: &str) -> String {
 fn repro_dse_default_space_csv_matches_pre_refactor_snapshot() {
     let points = DesignSpace::paper_default().enumerate();
     assert_eq!(points.len(), 672 * 3, "default space size changed");
-    let outcome = sweep(
+    let outcome = sweep_with_cache(
         &points,
         SweepConfig {
             threads: 1,
             seed: 42,
             ..SweepConfig::default()
         },
+        EngineCache::global(),
     );
     let front = pareto_front_per_workload(&outcome.results, &Objective::DEFAULT);
     let csv = strip_unbounded_memory_columns(&to_csv(&outcome.results, &front));

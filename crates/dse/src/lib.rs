@@ -45,10 +45,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use tpe_dse::{sweep, DesignSpace, Objective, SweepConfig};
+//! use tpe_dse::{sweep_with_cache, DesignSpace, EngineCache, Objective, SweepConfig};
 //!
 //! let points = DesignSpace::quick().enumerate();
-//! let outcome = sweep(&points, SweepConfig { threads: 2, ..SweepConfig::default() });
+//! let config = SweepConfig { threads: 2, ..SweepConfig::default() };
+//! let outcome = sweep_with_cache(&points, config, EngineCache::global());
 //! let front = tpe_dse::pareto_front(&outcome.results, &Objective::DEFAULT);
 //! assert!(!front.is_empty());
 //! let csv = tpe_dse::emit::to_csv(&outcome.results, &front);
@@ -70,6 +71,6 @@ pub use serve_ops::DseOps;
 pub use shard::{merge_shard_responses, ShardSpec};
 pub use space::{slice_space, Corner, DesignPoint, DesignSpace, Precision, SweepWorkload};
 pub use sweep::{
-    evaluate_slice, evaluate_slice_shard, sweep, sweep_with_cache, SweepConfig, SweepOutcome,
+    evaluate_slice, evaluate_slice_shard, sweep_with_cache, SweepConfig, SweepOutcome,
 };
 pub use tpe_engine::{CacheStats, CycleModel, EngineCache};

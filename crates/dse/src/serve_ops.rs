@@ -36,11 +36,11 @@
 //! single cheap-to-send request cannot pin a pool worker on an unbounded
 //! evaluation.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use tpe_engine::serve::{json_escape, BatchOps, Fields, DEFAULT_SEED};
 use tpe_engine::{CycleModel, EngineCache};
-use tpe_obs::{Counter, Histogram, Registry};
+use tpe_obs::{Counter, Histogram};
 
 use crate::emit::{point_csv_row, CSV_HEADER};
 use crate::eval::PointResult;
@@ -95,24 +95,24 @@ impl SliceOp {
     }
 }
 
-/// Process-wide metrics for the slice-shaped ops: the wall-clock of one
-/// slice evaluation (`dse_slice_eval_ns`, cold or warm — the serve
-/// layer's `metrics` op exposes the distribution) and the total design
-/// points evaluated over the wire (`dse_slice_points`).
+/// Metrics for the slice-shaped ops, resolved from the serving cache's
+/// registry: the wall-clock of one slice evaluation (`dse_slice_eval_ns`,
+/// cold or warm — the serve layer's `metrics` op exposes the
+/// distribution) and the total design points evaluated over the wire
+/// (`dse_slice_points`).
 struct DseObs {
     slice_eval_ns: Arc<Histogram>,
     slice_points: Arc<Counter>,
 }
 
-fn dse_obs() -> &'static DseObs {
-    static OBS: OnceLock<DseObs> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = Registry::global();
-        DseObs {
+impl DseObs {
+    fn of(cache: &EngineCache) -> Self {
+        let reg = cache.registry();
+        Self {
             slice_eval_ns: reg.histogram("dse_slice_eval_ns"),
             slice_points: reg.counter("dse_slice_points"),
         }
-    })
+    }
 }
 
 /// The default per-request slice-size cap: generous enough for the full
@@ -197,8 +197,8 @@ fn slice_op(fields: &Fields, cache: &EngineCache, op: SliceOp) -> Result<Vec<Str
     let include_points = fields.bool_or("points", op.points_by_default())?;
     let max_points = fields.uint_or("max_points", DEFAULT_MAX_POINTS as u64)? as usize;
     let shard = fields.opt_str("shard")?.map(ShardSpec::parse).transpose()?;
-    // Absent means sampled — and `handle_request_with` injects the
-    // server's default here, so `--cycle-model analytic` servers answer
+    // Absent means sampled — and the serve pool injects the server's
+    // default here, so `--cycle-model analytic` servers answer
     // analytic slices without clients re-spelling the field.
     let cycle_model = match fields.opt_str("cycle_model")? {
         None => CycleModel::Sampled,
@@ -206,7 +206,7 @@ fn slice_op(fields: &Fields, cache: &EngineCache, op: SliceOp) -> Result<Vec<Str
             .ok_or_else(|| format!("unknown cycle_model `{m}` (expected sampled|analytic)"))?,
     };
 
-    let obs = dse_obs();
+    let obs = DseObs::of(cache);
     let indexed = obs.slice_eval_ns.time(|| {
         evaluate_slice_shard(
             &filter,

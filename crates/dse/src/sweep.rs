@@ -10,11 +10,11 @@
 //! own label — so the output is **byte-identical across runs and thread
 //! counts**, which the determinism tests pin.
 //!
-//! Synthesis, serial sampling and whole-model reports memoize into a
-//! [`EngineCache`]: [`sweep`] shares the process-wide global instance
-//! (so later grids, experiments and serve queries reuse this sweep's
-//! work), while [`sweep_with_cache`] takes an explicit instance for
-//! isolation. Whole-network points land in the cache's model map, so a
+//! Synthesis, serial sampling and whole-model reports memoize into the
+//! [`EngineCache`] that [`sweep_with_cache`] is given: the process-wide
+//! [`EngineCache::global`] (so later grids, experiments and serve queries
+//! reuse this sweep's work) or a fresh instance for isolation.
+//! Whole-network points land in the cache's model map, so a
 //! re-sweep (or a later `repro models` grid over the same cells) answers
 //! each repeated point with one lookup instead of an O(layers) rewalk.
 
@@ -79,13 +79,8 @@ impl SweepOutcome {
     }
 }
 
-/// Evaluates all `points` against the process-wide global cache.
-pub fn sweep(points: &[DesignPoint], config: SweepConfig) -> SweepOutcome {
-    sweep_with_cache(points, config, EngineCache::global())
-}
-
-/// Evaluates all `points` with `config.threads` workers against an
-/// explicit cache instance.
+/// Evaluates all `points` with `config.threads` workers against `cache`
+/// (pass [`EngineCache::global`] to share the process-wide one).
 pub fn sweep_with_cache(
     points: &[DesignPoint],
     config: SweepConfig,
@@ -243,13 +238,14 @@ mod tests {
     #[test]
     fn sweep_preserves_input_order_and_covers_all_points() {
         let points = DesignSpace::quick().enumerate();
-        let outcome = sweep(
+        let outcome = sweep_with_cache(
             &points,
             SweepConfig {
                 threads: 3,
                 seed: 9,
                 ..SweepConfig::default()
             },
+            EngineCache::global(),
         );
         assert_eq!(outcome.results.len(), points.len());
         for (r, p) in outcome.results.iter().zip(&points) {
@@ -261,21 +257,23 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let points = DesignSpace::quick().enumerate();
-        let serial = sweep(
+        let serial = sweep_with_cache(
             &points,
             SweepConfig {
                 threads: 1,
                 seed: 4,
                 ..SweepConfig::default()
             },
+            EngineCache::global(),
         );
-        let parallel = sweep(
+        let parallel = sweep_with_cache(
             &points,
             SweepConfig {
                 threads: 4,
                 seed: 4,
                 ..SweepConfig::default()
             },
+            EngineCache::global(),
         );
         assert_eq!(serial.results, parallel.results);
     }
@@ -357,7 +355,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let isolated = sweep_with_cache(&points, config, &EngineCache::new());
-        let global = sweep(&points, config);
+        let global = sweep_with_cache(&points, config, EngineCache::global());
         assert_eq!(isolated.results, global.results);
         let total = global.cache.hits() + global.cache.misses();
         assert!(total > 0, "deltas must reflect this sweep only");

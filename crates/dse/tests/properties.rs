@@ -9,7 +9,7 @@ use tpe_dse::eval::{Metrics, PointResult};
 use tpe_dse::pareto::dominates;
 use tpe_dse::shard::{group_key, merge_front, scores_of, FrontCandidate};
 use tpe_dse::{
-    pareto_front, pareto_front_per_workload, sweep, sweep_with_cache, DesignPoint, DesignSpace,
+    pareto_front, pareto_front_per_workload, sweep_with_cache, DesignPoint, DesignSpace,
     EngineCache, Objective, SweepConfig,
 };
 
@@ -178,13 +178,14 @@ proptest! {
 #[test]
 fn global_front_is_subset_of_per_workload_union() {
     let points = DesignSpace::quick().enumerate();
-    let outcome = sweep(
+    let outcome = sweep_with_cache(
         &points,
         SweepConfig {
             threads: 2,
             seed: 11,
             ..SweepConfig::default()
         },
+        EngineCache::global(),
     );
     let global = pareto_front(&outcome.results, &Objective::DEFAULT);
     let per_wl = tpe_dse::pareto_front_per_workload(&outcome.results, &Objective::DEFAULT);
@@ -204,13 +205,14 @@ fn global_front_is_subset_of_per_workload_union() {
 fn sweep_csv_is_byte_identical_across_runs_and_thread_counts() {
     let points = DesignSpace::quick().enumerate();
     let emit = |threads: usize| {
-        let outcome = sweep(
+        let outcome = sweep_with_cache(
             &points,
             SweepConfig {
                 threads,
                 seed: 1234,
                 ..SweepConfig::default()
             },
+            EngineCache::global(),
         );
         let front = pareto_front(&outcome.results, &Objective::DEFAULT);
         to_csv(&outcome.results, &front)
@@ -234,21 +236,23 @@ fn sweep_csv_is_byte_identical_across_runs_and_thread_counts() {
 #[test]
 fn sweep_seed_reaches_the_workload_model() {
     let points = DesignSpace::quick().enumerate_filtered("OPT3");
-    let a = sweep(
+    let a = sweep_with_cache(
         &points,
         SweepConfig {
             threads: 2,
             seed: 1,
             ..SweepConfig::default()
         },
+        EngineCache::global(),
     );
-    let b = sweep(
+    let b = sweep_with_cache(
         &points,
         SweepConfig {
             threads: 2,
             seed: 2,
             ..SweepConfig::default()
         },
+        EngineCache::global(),
     );
     assert_ne!(a.results, b.results);
 }
@@ -324,13 +328,14 @@ fn paper_default_space_is_large_and_mostly_feasible() {
         .filter(|p| matches!(p.kind(), ArchKind::Dense(_)))
         .cloned()
         .collect();
-    let outcome = sweep(
+    let outcome = sweep_with_cache(
         &dense,
         SweepConfig {
             threads: 4,
             seed: 3,
             ..SweepConfig::default()
         },
+        EngineCache::global(),
     );
     assert!(outcome.feasible_count() > dense.len() / 2);
 }

@@ -28,22 +28,29 @@
 //! preceding `repro dse` sweep already paid for, and a long-running
 //! `repro serve` process converges to all-hit steady state.
 //!
+//! Each cache also owns the [`Registry`] its metrics live in
+//! ([`EngineCache::registry`]): its own `cache_*` hit/miss/lookup
+//! counters (which [`EngineCache::stats`] reads), the evaluator's stage
+//! metrics, and the serve, slice-op and snapshot metrics of whatever runs
+//! over it. Two caches in one process never mix counts.
+//!
 //! Memoized values are outputs of deterministic functions of their key,
 //! so caching can never change results — the byte-identical golden tests
 //! in `tpe-bench` pin this.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
 use tpe_core::arch::{ArchKind, PeStyle};
+use tpe_obs::{Counter, Registry};
 use tpe_sim::array::ClassicArch;
 use tpe_workloads::{LayerShape, NetworkModel};
 
 use crate::caps::{CycleModel, SerialSampleCaps};
+use crate::eval::EvalObs;
 use crate::report::{LayerReport, ModelReport};
 use crate::spec::{Bound, EnginePrice, EngineSpec};
 
@@ -570,7 +577,31 @@ impl CacheContents {
     }
 }
 
-/// Sharded concurrent memoization of pricing and cycle outcomes.
+/// One map family's lookup counters, registered in the cache's registry
+/// as `cache_<map>_{hits,misses,lookups}` — so the `stats` view
+/// ([`EngineCache::stats`]) and the `metrics` exposition read the same
+/// atomics.
+#[derive(Debug)]
+struct MapCounters {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    lookups: Arc<Counter>,
+}
+
+impl MapCounters {
+    fn in_registry(registry: &Registry, map: &str) -> Self {
+        let counter = |what: &str| registry.counter(&format!("cache_{map}_{what}"));
+        Self {
+            hits: counter("hits"),
+            misses: counter("misses"),
+            lookups: counter("lookups"),
+        }
+    }
+}
+
+/// Sharded concurrent memoization of pricing and cycle outcomes, and the
+/// owner of the metrics registry every computation through it records
+/// into.
 ///
 /// `None` pricing values record corners where the design cannot close
 /// timing, so infeasibility is cached too.
@@ -580,15 +611,13 @@ pub struct EngineCache {
     prices: [RwLock<HashMap<PriceKey, Option<EnginePrice>>>; SHARDS],
     cycles: [RwLock<HashMap<CycleKey, SerialLayerRecord>>; SHARDS],
     models: [RwLock<HashMap<ModelKey, ModelRecord>>; SHARDS],
-    price_hits: AtomicU64,
-    price_misses: AtomicU64,
-    cycle_hits: AtomicU64,
-    cycle_misses: AtomicU64,
-    price_lookups: AtomicU64,
-    cycle_lookups: AtomicU64,
-    model_hits: AtomicU64,
-    model_misses: AtomicU64,
-    model_lookups: AtomicU64,
+    registry: Registry,
+    price: MapCounters,
+    cycle: MapCounters,
+    model: MapCounters,
+    /// The evaluator stage metrics, registered in `registry` once, when
+    /// the cache is built.
+    pub(crate) eval_obs: EvalObs,
     /// Counter levels at the last [`Self::window_delta`] call — the
     /// observation window the serve `stats` op reports per-window rates
     /// over.
@@ -597,20 +626,17 @@ pub struct EngineCache {
 
 impl Default for EngineCache {
     fn default() -> Self {
+        let registry = Registry::new();
         Self {
             records: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             prices: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             cycles: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             models: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            price_hits: AtomicU64::new(0),
-            price_misses: AtomicU64::new(0),
-            cycle_hits: AtomicU64::new(0),
-            cycle_misses: AtomicU64::new(0),
-            price_lookups: AtomicU64::new(0),
-            cycle_lookups: AtomicU64::new(0),
-            model_hits: AtomicU64::new(0),
-            model_misses: AtomicU64::new(0),
-            model_lookups: AtomicU64::new(0),
+            price: MapCounters::in_registry(&registry, "price"),
+            cycle: MapCounters::in_registry(&registry, "cycle"),
+            model: MapCounters::in_registry(&registry, "model"),
+            eval_obs: EvalObs::in_registry(&registry),
+            registry,
             last_window: Mutex::new(CacheStats::default()),
         }
     }
@@ -623,15 +649,24 @@ fn shard_of(key: &impl Hash) -> usize {
 }
 
 impl EngineCache {
-    /// An empty, isolated cache (tests and honest cold-timing runs).
+    /// An empty, isolated cache with a fresh metrics registry (tests and
+    /// honest cold-timing runs).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The process-wide instance every default evaluation path shares.
+    /// The process-wide instance every default evaluation path shares; it
+    /// owns the process's metrics registry.
     pub fn global() -> &'static EngineCache {
         static GLOBAL: OnceLock<EngineCache> = OnceLock::new();
         GLOBAL.get_or_init(EngineCache::new)
+    }
+
+    /// The registry every computation through this cache records into:
+    /// its own hit/miss counters, the evaluator's stage metrics, and the
+    /// serve, slice-op and snapshot metrics of whatever runs over it.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// Returns the pricing record for `key`, running `price` on a miss.
@@ -646,12 +681,12 @@ impl EngineCache {
         price: impl FnOnce() -> Option<PeRecord>,
     ) -> Option<PeRecord> {
         let shard = &self.records[shard_of(&key)];
-        self.price_lookups.fetch_add(1, Ordering::Relaxed);
+        self.price.lookups.inc();
         if let Some(rec) = shard.read().expect("cache poisoned").get(&key) {
-            self.price_hits.fetch_add(1, Ordering::Relaxed);
+            self.price.hits.inc();
             return *rec;
         }
-        self.price_misses.fetch_add(1, Ordering::Relaxed);
+        self.price.misses.inc();
         let rec = price();
         *shard
             .write()
@@ -679,8 +714,8 @@ impl EngineCache {
             // nothing here — `assemble` consults `pe_record`, which does
             // the lookup *and* hit/miss accounting, keeping the
             // hits+misses == lookups invariant exact.
-            self.price_lookups.fetch_add(1, Ordering::Relaxed);
-            self.price_hits.fetch_add(1, Ordering::Relaxed);
+            self.price.lookups.inc();
+            self.price.hits.inc();
             return *price;
         }
         let price = assemble();
@@ -699,12 +734,12 @@ impl EngineCache {
         sample: impl FnOnce() -> SerialLayerRecord,
     ) -> SerialLayerRecord {
         let shard = &self.cycles[shard_of(&key)];
-        self.cycle_lookups.fetch_add(1, Ordering::Relaxed);
+        self.cycle.lookups.inc();
         if let Some(rec) = shard.read().expect("cache poisoned").get(&key) {
-            self.cycle_hits.fetch_add(1, Ordering::Relaxed);
+            self.cycle.hits.inc();
             return *rec;
         }
-        self.cycle_misses.fetch_add(1, Ordering::Relaxed);
+        self.cycle.misses.inc();
         let rec = sample();
         *shard
             .write()
@@ -728,12 +763,12 @@ impl EngineCache {
         assemble: impl FnOnce() -> ModelRecord,
     ) -> ModelRecord {
         let shard = &self.models[shard_of(&key)];
-        self.model_lookups.fetch_add(1, Ordering::Relaxed);
+        self.model.lookups.inc();
         if let Some(rec) = shard.read().expect("cache poisoned").get(&key) {
-            self.model_hits.fetch_add(1, Ordering::Relaxed);
+            self.model.hits.inc();
             return rec.clone();
         }
-        self.model_misses.fetch_add(1, Ordering::Relaxed);
+        self.model.misses.inc();
         let rec = assemble();
         shard
             .write()
@@ -743,18 +778,19 @@ impl EngineCache {
             .clone()
     }
 
-    /// Counters at this instant.
+    /// Counters at this instant (read from the registry's
+    /// `cache_*` counters).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            price_hits: self.price_hits.load(Ordering::Relaxed),
-            price_misses: self.price_misses.load(Ordering::Relaxed),
-            cycle_hits: self.cycle_hits.load(Ordering::Relaxed),
-            cycle_misses: self.cycle_misses.load(Ordering::Relaxed),
-            price_lookups: self.price_lookups.load(Ordering::Relaxed),
-            cycle_lookups: self.cycle_lookups.load(Ordering::Relaxed),
-            model_hits: self.model_hits.load(Ordering::Relaxed),
-            model_misses: self.model_misses.load(Ordering::Relaxed),
-            model_lookups: self.model_lookups.load(Ordering::Relaxed),
+            price_hits: self.price.hits.get(),
+            price_misses: self.price.misses.get(),
+            cycle_hits: self.cycle.hits.get(),
+            cycle_misses: self.cycle.misses.get(),
+            price_lookups: self.price.lookups.get(),
+            cycle_lookups: self.cycle.lookups.get(),
+            model_hits: self.model.hits.get(),
+            model_misses: self.model.misses.get(),
+            model_lookups: self.model.lookups.get(),
         }
     }
 

@@ -11,7 +11,7 @@
 //! deterministic functions of (engine, workload, seed), so any two paths
 //! that ask the same question get byte-identical answers.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use tpe_core::arch::{ArchKind, ArrayModel};
 use tpe_cost::process::{scale_area_um2, scale_power_w, ProcessNode};
@@ -33,11 +33,12 @@ use crate::workload::SweepWorkload;
 /// plus the width-generic variant behind the precision axis.
 pub use tpe_core::arch::workload::{effective_numpps, effective_numpps_at};
 
-/// Handles to the evaluator's process-wide stage metrics, resolved once
-/// from [`Registry::global`] (see [`eval_obs`]). The cold stages —
+/// Handles to the evaluator's stage metrics, registered once per cache
+/// when the cache is built ([`EngineCache::registry`]). The cold stages —
 /// synthesis, price assembly, serial-cycle sampling, model scheduling —
 /// get span timers *inside* their miss closures, so warm (cached) paths
 /// pay nothing beyond one relaxed counter increment.
+#[derive(Debug)]
 pub(crate) struct EvalObs {
     /// `eval_synthesis_ns`: PE synthesis + node scaling (cold only).
     pub synthesis_ns: Arc<Histogram>,
@@ -82,14 +83,10 @@ impl EvalObs {
             Bound::Dram => &self.layers_dram_bound,
         }
     }
-}
 
-/// The process-wide evaluator metric handles (registered on first use).
-pub(crate) fn eval_obs() -> &'static EvalObs {
-    static OBS: OnceLock<EvalObs> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = Registry::global();
-        EvalObs {
+    /// Registers the evaluator metrics in `reg`.
+    pub fn in_registry(reg: &Registry) -> Self {
+        Self {
             synthesis_ns: reg.histogram("eval_synthesis_ns"),
             price_assemble_ns: reg.histogram("eval_price_assemble_ns"),
             serial_sample_ns: reg.histogram("eval_serial_sample_ns"),
@@ -103,7 +100,7 @@ pub(crate) fn eval_obs() -> &'static EvalObs {
             layers_sram_bound: reg.counter("layers_sram_bound"),
             layers_dram_bound: reg.counter("layers_dram_bound"),
         }
-    })
+    }
 }
 
 /// The objective vector of one feasible (engine, workload) evaluation.
@@ -192,7 +189,7 @@ impl<'c> Evaluator<'c> {
     pub fn pe_record(&self, spec: &EngineSpec) -> Option<PeRecord> {
         let key = PeKey::of(spec);
         self.cache.pe_record(key, || {
-            let _span = eval_obs().synthesis_ns.span();
+            let _span = self.cache.eval_obs.synthesis_ns.span();
             let design = match spec.kind {
                 ArchKind::Dense(_) => spec.arch_model().pe_design_for(spec.precision),
                 ArchKind::Serial => spec
@@ -239,7 +236,7 @@ impl<'c> Evaluator<'c> {
     /// effective-NumPPs arithmetic runs once per engine per process, so a
     /// warm price query is a single sharded map read.
     pub fn price(&self, spec: &EngineSpec) -> Option<EnginePrice> {
-        eval_obs().price_calls.inc();
+        self.cache.eval_obs.price_calls.inc();
         self.price_uninstrumented(spec)
     }
 
@@ -250,7 +247,7 @@ impl<'c> Evaluator<'c> {
     pub fn price_uninstrumented(&self, spec: &EngineSpec) -> Option<EnginePrice> {
         let key = crate::cache::PriceKey::of(spec);
         self.cache.engine_price(key, || {
-            let _span = eval_obs().price_assemble_ns.span();
+            let _span = self.cache.eval_obs.price_assemble_ns.span();
             let record = self.pe_record(spec)?;
             Some(EnginePrice::from_record(
                 spec,
@@ -275,7 +272,7 @@ impl<'c> Evaluator<'c> {
         workload: &SweepWorkload,
         seed: u64,
     ) -> Option<Metrics> {
-        eval_obs().metrics_calls.inc();
+        self.cache.eval_obs.metrics_calls.inc();
         let price = self.price(spec)?;
 
         let freq = spec.freq_ghz;
@@ -359,11 +356,11 @@ impl<'c> Evaluator<'c> {
             ),
             (None, SweepWorkload::Layer(layer)) => {
                 let traffic = {
-                    let _span = eval_obs().traffic_ns.span();
+                    let _span = self.cache.eval_obs.traffic_ns.span();
                     layer_traffic(spec, layer)
                 };
                 let (eff, bound) = traffic.roofline(&spec.memory, cycles);
-                eval_obs().bound_counter(bound).inc();
+                self.cache.eval_obs.bound_counter(bound).inc();
                 (
                     eff,
                     traffic.total_bytes(),
@@ -465,7 +462,7 @@ impl<'c> Evaluator<'c> {
     ) -> ModelRecord {
         let key = ModelKey::of(spec, net, seed, caps);
         self.cache.model_record(key, || {
-            let _span = eval_obs().model_assemble_ns.span();
+            let _span = self.cache.eval_obs.model_assemble_ns.span();
             crate::schedule::assemble_model_record(self.cache, spec, price, net, seed, caps)
         })
     }

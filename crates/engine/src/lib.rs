@@ -34,7 +34,8 @@
 //!   sweep corners, and label → spec lookup for serve queries.
 //! * [`caps`] — the [`caps::SampleProfile`] table unifying every
 //!   serial-sampling budget the workspace uses.
-//! * [`cache`] — [`EngineCache`]: the process-wide concurrent memo cache,
+//! * [`cache`] — [`EngineCache`]: the concurrent memo cache and owner of
+//!   the metrics registry every evaluation through it records into;
 //!   sharded `RwLock` maps keyed on [`cache::PeKey`] (synthesis),
 //!   [`cache::CycleKey`] (sampled workload cycles) and [`ModelKey`]
 //!   (whole-model reports, so repeated `model` queries are one lookup).
@@ -47,9 +48,10 @@
 //! * [`schedule`] / [`report`] — layer tiling onto array geometries and
 //!   the per-layer/end-to-end report schema.
 //! * [`serve`] — the `repro serve` protocol: a std-only TCP/NDJSON batch
-//!   query server over the global cache, instrumented end to end with
-//!   `tpe-obs` metrics ([`serve::ServeObs`]) and exposing them through
-//!   its `metrics` op (JSON snapshot or Prometheus text exposition).
+//!   query server over one cache, instrumented end to end with `tpe-obs`
+//!   metrics recorded into that cache's registry
+//!   ([`EngineCache::registry`]) and exposed through its `metrics` op
+//!   (JSON snapshot or Prometheus text exposition).
 //!
 //! ## Quickstart
 //!
@@ -82,7 +84,7 @@ pub use caps::{CycleModel, SampleProfile, SerialSampleCaps};
 pub use eval::{Evaluator, Metrics};
 pub use report::{LayerReport, ModelReport};
 pub use schedule::{
-    dense_model_cycles, dense_tiles, evaluate_model, schedule_layer, serial_model_cycles,
+    dense_model_cycles, dense_tiles, evaluate_model_with, schedule_layer_with, serial_model_cycles,
     LayerSchedule, MODEL_SAMPLE_CAPS,
 };
 pub use schedule::{layer_traffic, LayerTraffic};

@@ -34,6 +34,7 @@ use tpe_workloads::{LayerShape, NetworkModel};
 
 use crate::cache::{CycleKey, EngineCache, ModelRecord, SerialLayerRecord};
 use crate::caps::{CycleModel, SampleProfile, SerialSampleCaps};
+use crate::eval::EvalObs;
 use crate::report::{LayerReport, ModelReport};
 use crate::spec::{Bound, EnginePrice, EngineSpec, MemorySpec};
 
@@ -239,11 +240,11 @@ pub fn cached_serial_cycles(
         let a_bits = layer_a_bits(spec, layer);
         let stats = match caps.model {
             CycleModel::Sampled => {
-                let _span = crate::eval::eval_obs().serial_sample_ns.span();
+                let _span = cache.eval_obs.serial_sample_ns.span();
                 sample_serial_cycles(&cfg, encoder.as_ref(), a_bits, layer, seed, caps)
             }
             CycleModel::Analytic => {
-                let _span = crate::eval::eval_obs().serial_analytic_ns.span();
+                let _span = cache.eval_obs.serial_analytic_ns.span();
                 analytic_serial_cycles(&cfg, encoder.as_ref(), a_bits, layer)
             }
         };
@@ -302,16 +303,6 @@ pub fn schedule_layer_with(
             }
         }
     }
-}
-
-/// [`schedule_layer_with`] against the process-wide global cache.
-pub fn schedule_layer(
-    engine: &EngineSpec,
-    layer: &LayerShape,
-    seed: u64,
-    caps: SerialSampleCaps,
-) -> LayerSchedule {
-    schedule_layer_with(EngineCache::global(), engine, layer, seed, caps)
 }
 
 /// The engine's bit-slice configuration with its encoding swapped in.
@@ -403,6 +394,7 @@ pub fn serial_model_cycles(
 /// assembly (`assemble_model_record`) so the two paths stay
 /// bit-identical by construction.
 fn layer_row(
+    obs: &EvalObs,
     engine: &EngineSpec,
     price: &EnginePrice,
     layer: &LayerShape,
@@ -410,13 +402,13 @@ fn layer_row(
 ) -> LayerReport {
     let macs = layer.macs();
     let traffic = {
-        let _span = crate::eval::eval_obs().traffic_ns.span();
+        let _span = obs.traffic_ns.span();
         layer_traffic(engine, layer)
     };
     let bytes_moved = traffic.total_bytes();
     let intensity_ops_per_byte = traffic.intensity(macs);
     let (eff_cycles, bound) = traffic.roofline(&engine.memory, s.cycles);
-    crate::eval::eval_obs().bound_counter(bound).inc();
+    obs.bound_counter(bound).inc();
     let (cycles, delay_us, utilization, energy_uj) = if engine.memory.is_unbounded() {
         // The pre-memory arithmetic, expression for expression: the golden
         // CSVs pin these f64 bit patterns, so the unbounded corner must
@@ -477,14 +469,14 @@ pub fn evaluate_model_with(
     seed: u64,
     caps: SerialSampleCaps,
 ) -> ModelReport {
-    let _span = crate::eval::eval_obs().model_schedule_ns.span();
+    let _span = cache.eval_obs.model_schedule_ns.span();
     let layers: Vec<LayerReport> = net
         .layers
         .iter()
         .enumerate()
         .map(|(i, layer)| {
             let s = schedule_layer_with(cache, engine, layer, layer_seed(seed, i, layer), caps);
-            layer_row(engine, price, layer, s)
+            layer_row(&cache.eval_obs, engine, price, layer, s)
         })
         .collect();
     ModelReport::aggregate(net.name.as_str(), engine, price, layers)
@@ -533,7 +525,7 @@ pub(crate) fn assemble_model_record(
                     busy_frac: 1.0,
                     tiles: dense_tiles(arch, layer) as f64,
                 };
-                rows.push(layer_row(spec, price, layer, s));
+                rows.push(layer_row(&cache.eval_obs, spec, price, layer, s));
             }
         }
         ArchKind::Serial => {
@@ -551,7 +543,7 @@ pub(crate) fn assemble_model_record(
                             let a_bits = layer_a_bits(spec, layer);
                             let stats = match lcaps.model {
                                 CycleModel::Sampled => {
-                                    let _span = crate::eval::eval_obs().serial_sample_ns.span();
+                                    let _span = cache.eval_obs.serial_sample_ns.span();
                                     sample_serial_cycles(
                                         &cfg,
                                         encoder.as_ref(),
@@ -562,7 +554,7 @@ pub(crate) fn assemble_model_record(
                                     )
                                 }
                                 CycleModel::Analytic => {
-                                    let _span = crate::eval::eval_obs().serial_analytic_ns.span();
+                                    let _span = cache.eval_obs.serial_analytic_ns.span();
                                     analytic_serial_cycles(&cfg, encoder.as_ref(), a_bits, layer)
                                 }
                             };
@@ -578,23 +570,12 @@ pub(crate) fn assemble_model_record(
                     busy_frac: rec.utilization(),
                     tiles: rec.rounds,
                 };
-                rows.push(layer_row(spec, price, layer, s));
+                rows.push(layer_row(&cache.eval_obs, spec, price, layer, s));
             }
         }
     }
     let report = ModelReport::aggregate(net.name.as_str(), spec, price, rows);
     ModelRecord::of(&report, busy_sum)
-}
-
-/// [`evaluate_model_with`] against the process-wide global cache.
-pub fn evaluate_model(
-    engine: &EngineSpec,
-    price: &EnginePrice,
-    net: &NetworkModel,
-    seed: u64,
-    caps: SerialSampleCaps,
-) -> ModelReport {
-    evaluate_model_with(EngineCache::global(), engine, price, net, seed, caps)
 }
 
 #[cfg(test)]
@@ -637,8 +618,9 @@ mod tests {
         assert_eq!((lowered.m, lowered.n, lowered.k), (64, 56 * 56, 576));
         let explicit = LayerShape::new("l1", 64, 56 * 56, 576, 1);
         let engine = EngineSpec::dense(PeStyle::TraditionalMac, ClassicArch::Tpu, 1.0);
-        let a = schedule_layer(&engine, &lowered, 1, MODEL_SAMPLE_CAPS);
-        let b = schedule_layer(&engine, &explicit, 1, MODEL_SAMPLE_CAPS);
+        let cache = EngineCache::new();
+        let a = schedule_layer_with(&cache, &engine, &lowered, 1, MODEL_SAMPLE_CAPS);
+        let b = schedule_layer_with(&cache, &engine, &explicit, 1, MODEL_SAMPLE_CAPS);
         assert_eq!(a, b);
     }
 
@@ -646,7 +628,7 @@ mod tests {
     fn serial_schedule_matches_shared_sync_model() {
         let engine = opt4e();
         let layer = LayerShape::new("fc1", 1, 4 * 768, 768, 1);
-        let s = schedule_layer(&engine, &layer, 7, MODEL_SAMPLE_CAPS);
+        let s = schedule_layer_with(&EngineCache::new(), &engine, &layer, 7, MODEL_SAMPLE_CAPS);
         assert!(s.cycles > 0.0);
         assert!((0.0..=1.0).contains(&s.busy_frac));
         assert!(s.busy_frac > 0.9, "K=768 keeps columns busy (Fig. 11(A))");
@@ -657,10 +639,11 @@ mod tests {
     fn model_cycles_sum_layer_cycles() {
         let net = models::resnet18();
         let engine = EngineSpec::dense(PeStyle::TraditionalMac, ClassicArch::Tpu, 1.0);
+        let cache = EngineCache::new();
         let per_layer: f64 = net
             .layers
             .iter()
-            .map(|l| schedule_layer(&engine, l, 0, MODEL_SAMPLE_CAPS).cycles)
+            .map(|l| schedule_layer_with(&cache, &engine, l, 0, MODEL_SAMPLE_CAPS).cycles)
             .sum();
         let whole = dense_model_cycles(ClassicArch::Tpu, &net);
         assert!((per_layer - whole).abs() < 1e-6 * whole.max(1.0));
@@ -1010,13 +993,13 @@ mod tests {
         let price = base.price().unwrap();
         let cache = EngineCache::new();
         let s = schedule_layer_with(&cache, &base, &layer, 0, MODEL_SAMPLE_CAPS);
-        let free = layer_row(&base, &price, &layer, s);
+        let free = layer_row(&cache.eval_obs, &base, &price, &layer, s);
         assert_eq!(free.bound, Bound::Compute);
         assert!(free.bytes_moved > 0.0);
         assert!(free.intensity_ops_per_byte > 0.0);
 
         let edge = base.clone().with_memory(MemorySpec::edge());
-        let bounded = layer_row(&edge, &price, &layer, s);
+        let bounded = layer_row(&cache.eval_obs, &edge, &price, &layer, s);
         assert!(
             bounded.delay_us > free.delay_us,
             "edge corner must stretch the fat layer: {} vs {}",

@@ -68,16 +68,17 @@
 //!
 //! ## Observability
 //!
-//! Every run records into a [`ServeObs`] bundle of `tpe-obs` metrics
-//! (the process-wide registry by default; [`serve_with_obs`] takes an
-//! isolated one for exact-count tests): per-op request counters,
-//! queue-wait vs evaluation latency histograms, an in-flight gauge, and
-//! counters for drained / over-long / non-UTF-8 / unparseable lines.
-//! The `metrics` op snapshots the registry — with the serving cache's
-//! counters folded in — as a flat JSON object, or as Prometheus text
-//! exposition with `"format":"prometheus"`. Histograms travel as log2
-//! bucket-count CSVs, so clients can diff two snapshots and compute
-//! windowed percentiles server-side data alone. The `stats` op
+//! Metrics belong to the cache a server runs over: [`serve_with`]
+//! registers its `tpe-obs` metrics in [`EngineCache::registry`] — per-op
+//! request counters, queue-wait vs evaluation latency histograms, an
+//! in-flight gauge, and counters for drained / over-long / non-UTF-8 /
+//! unparseable lines — beside the cache's own hit/miss counters and the
+//! evaluator's stage metrics. Two servers over two caches in one process
+//! therefore never mix counts. The `metrics` op snapshots that registry
+//! (plus the cache's entry-count gauges) as a flat JSON object, or as
+//! Prometheus text exposition with `"format":"prometheus"`. Histograms
+//! travel as log2 bucket-count CSVs, so clients can diff two snapshots
+//! and compute windowed percentiles server-side data alone. The `stats` op
 //! additionally reports `since_*` cache-counter deltas over its own
 //! polling window plus process uptime (minus an optional caller-supplied
 //! monotonic `origin`). Both ops are stateful views of a running server,
@@ -101,7 +102,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use tpe_obs::{Counter, Gauge, Histogram, Registry};
@@ -412,6 +413,12 @@ pub trait BatchOps: Sync {
     fn op_names(&self) -> String {
         String::new()
     }
+
+    /// Called by the answering pool worker after each reply is sent toward
+    /// the socket, with the total requests handled so far in this run
+    /// (1-based, monotonic). It runs on a pool worker, so it must be cheap
+    /// or rare. The default does nothing.
+    fn after_request(&self, _handled: u64, _cache: &EngineCache) {}
 }
 
 /// The empty extension set: the built-in ops only.
@@ -434,9 +441,12 @@ impl BatchOps for NoOps {
 /// `"op":"snapshot","path":…,"entries":N,"bytes":M` after an atomic
 /// [`crate::snapshot::save`]. The path is server configuration, not a
 /// request field — a client must never choose where the server writes.
+/// With [`Self::saving_every`] it also saves every N handled requests
+/// (`repro serve --snapshot-every N`).
 pub struct SnapshotOps<'a> {
     inner: &'a dyn BatchOps,
     path: std::path::PathBuf,
+    every: u64,
 }
 
 impl<'a> SnapshotOps<'a> {
@@ -445,7 +455,13 @@ impl<'a> SnapshotOps<'a> {
         Self {
             inner,
             path: path.into(),
+            every: 0,
         }
+    }
+
+    /// Also saves after every `every` handled requests (0 never saves).
+    pub fn saving_every(self, every: u64) -> Self {
+        Self { every, ..self }
     }
 }
 
@@ -472,39 +488,25 @@ impl BatchOps for SnapshotOps<'_> {
     fn op_names(&self) -> String {
         format!("{}|snapshot", self.inner.op_names())
     }
-}
 
-/// Handles one request line against `cache`, returning the response line
-/// (no trailing newline) and whether the request asked for shutdown.
-/// Built-in ops only (the multi-line capable generalization is
-/// [`handle_request`]).
-pub fn handle_line(line: &str, cache: &EngineCache) -> (String, bool) {
-    let (lines, is_shutdown) = handle_request(line, cache, &NoOps);
-    (lines.join("\n"), is_shutdown)
+    fn after_request(&self, handled: u64, cache: &EngineCache) {
+        self.inner.after_request(handled, cache);
+        if self.every > 0 && handled.is_multiple_of(self.every) {
+            if let Err(e) = crate::snapshot::save(cache, &self.path) {
+                eprintln!("warning: periodic snapshot failed: {e}");
+            }
+        }
+    }
 }
 
 /// Handles one request line against `cache` with `ops` extensions,
 /// returning the response lines (one for built-in ops, possibly several
 /// for batch ops; no trailing newlines) and whether the request asked for
-/// shutdown. Requests default to the sampled cycle model; see
-/// [`handle_request_with`] for a server-level default.
+/// shutdown. Requests without a `cycle_model` field evaluate sampled —
+/// exactly what a [`serve_with`] server with the default
+/// [`ServeConfig::cycle_model`] answers.
 pub fn handle_request(line: &str, cache: &EngineCache, ops: &dyn BatchOps) -> (Vec<String>, bool) {
-    handle_request_with(line, cache, ops, CycleModel::Sampled)
-}
-
-/// [`handle_request`] with a server-level default [`CycleModel`]
-/// ([`ServeConfig::cycle_model`]): requests that do not spell a
-/// `cycle_model` field evaluate under `default_model`; an explicit field
-/// always wins. The default is injected as if the client had sent the
-/// field, so built-in ops and batch-op extensions see one consistent
-/// request.
-pub fn handle_request_with(
-    line: &str,
-    cache: &EngineCache,
-    ops: &dyn BatchOps,
-    default_model: CycleModel,
-) -> (Vec<String>, bool) {
-    let (lines, is_shutdown, _) = handle_request_classified(line, cache, ops, default_model);
+    let (lines, is_shutdown, _) = handle_request_classified(line, cache, ops, CycleModel::Sampled);
     (lines, is_shutdown)
 }
 
@@ -512,7 +514,7 @@ pub fn handle_request_with(
 /// the handler's single parse, so the serve hot path never re-parses a
 /// line just to tick counters (feed it to [`ServeObs::record_class`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestClass {
+pub(crate) enum RequestClass {
     /// A known op: index into [`COUNTED_OPS`].
     Counted(usize),
     /// Parsed fine, but the op is unknown, extension-defined, or missing.
@@ -521,9 +523,14 @@ pub enum RequestClass {
     Malformed,
 }
 
-/// [`handle_request_with`], additionally returning the line's
-/// [`RequestClass`] from the same parse that evaluated it.
-pub fn handle_request_classified(
+/// [`handle_request`] with the server-level default [`CycleModel`]
+/// ([`ServeConfig::cycle_model`]), additionally returning the line's
+/// [`RequestClass`] from the same parse that evaluated it. Requests that
+/// do not spell a `cycle_model` field evaluate under `default_model`; an
+/// explicit field always wins. The default is injected as if the client
+/// had sent the field, so built-in ops and batch-op extensions see one
+/// consistent request.
+fn handle_request_classified(
     line: &str,
     cache: &EngineCache,
     ops: &dyn BatchOps,
@@ -748,17 +755,7 @@ fn respond(
             ))
         }
         "metrics" => {
-            let mut snap = Registry::global().snapshot();
-            let s = cache.stats();
-            snap.set_counter("cache_price_hits", s.price_hits);
-            snap.set_counter("cache_price_misses", s.price_misses);
-            snap.set_counter("cache_cycle_hits", s.cycle_hits);
-            snap.set_counter("cache_cycle_misses", s.cycle_misses);
-            snap.set_counter("cache_model_hits", s.model_hits);
-            snap.set_counter("cache_model_misses", s.model_misses);
-            snap.set_counter("cache_price_lookups", s.price_lookups);
-            snap.set_counter("cache_cycle_lookups", s.cycle_lookups);
-            snap.set_counter("cache_model_lookups", s.model_lookups);
+            let mut snap = cache.registry().snapshot();
             snap.set_gauge("cache_priced_entries", cache.priced_len() as i64);
             snap.set_gauge("cache_cycle_entries", cache.cycles_len() as i64);
             snap.set_gauge("cache_model_entries", cache.models_len() as i64);
@@ -901,7 +898,7 @@ pub const COUNTED_OPS: [&str; 11] = [
 /// handful of relaxed atomic RMWs per request: op classification rides
 /// on the handler's own parse ([`RequestClass`]), never a second one.
 #[derive(Debug)]
-pub struct ServeObs {
+pub(crate) struct ServeObs {
     /// `serve_op_<name>` request counters, indexed as [`COUNTED_OPS`].
     pub op_requests: [Arc<Counter>; COUNTED_OPS.len()],
     /// `serve_op_other`: pool-processed requests with an unknown or
@@ -944,20 +941,6 @@ impl ServeObs {
             utf8_errors: registry.counter("serve_utf8_errors"),
             parse_errors: registry.counter("serve_parse_errors"),
         }
-    }
-
-    /// The process-wide instance, over [`Registry::global`].
-    pub fn global() -> &'static ServeObs {
-        static OBS: OnceLock<ServeObs> = OnceLock::new();
-        OBS.get_or_init(|| ServeObs::in_registry(Registry::global()))
-    }
-
-    /// The request counter for one of the [`COUNTED_OPS`], if listed.
-    pub fn op_counter(&self, op: &str) -> Option<&Counter> {
-        COUNTED_OPS
-            .iter()
-            .position(|o| *o == op)
-            .map(|i| &*self.op_requests[i])
     }
 
     /// Ticks the per-op counters for one classified request (the class is
@@ -1013,7 +996,7 @@ impl ServeConfig {
     }
 }
 
-/// What one [`serve`] run handled.
+/// What one [`serve_with`] run handled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeOutcome {
     /// Connections accepted.
@@ -1037,55 +1020,20 @@ struct Job {
 /// (sequence number, response lines).
 type Reply = (u64, Vec<String>);
 
-/// Runs the serve loop on `listener` with the default configuration and
-/// the built-in op set. Blocks the calling thread until a `shutdown`
-/// request arrives; see [`serve_with`].
-pub fn serve(listener: TcpListener, cache: &EngineCache) -> std::io::Result<ServeOutcome> {
-    serve_with(listener, cache, &NoOps, ServeConfig::default())
-}
-
 /// Runs the serve loop on `listener` until a `shutdown` request arrives:
 /// a shared bounded worker pool, per-connection request pipelining with
-/// in-order response reassembly, and `ops` batch-op extensions. Blocks
-/// the calling thread; on shutdown the listener stops accepting and every
-/// in-flight connection drains before this returns.
+/// in-order response reassembly, and `ops` batch-op extensions (whose
+/// [`BatchOps::after_request`] runs after every reply). Blocks the
+/// calling thread; on shutdown the listener stops accepting and every
+/// in-flight connection drains before this returns. The run's metrics
+/// record into `cache`'s registry, where the `metrics` op reads them.
 pub fn serve_with(
     listener: TcpListener,
     cache: &EngineCache,
     ops: &dyn BatchOps,
     config: ServeConfig,
 ) -> std::io::Result<ServeOutcome> {
-    serve_with_obs(listener, cache, ops, config, ServeObs::global())
-}
-
-/// [`serve_with`], recording into an explicit [`ServeObs`] bundle instead
-/// of the process-wide one — exact-count metric tests hand an isolated
-/// [`Registry`]'s handles here so parallel test binaries cannot pollute
-/// each other's counters.
-pub fn serve_with_obs(
-    listener: TcpListener,
-    cache: &EngineCache,
-    ops: &dyn BatchOps,
-    config: ServeConfig,
-    obs: &ServeObs,
-) -> std::io::Result<ServeOutcome> {
-    serve_with_hook(listener, cache, ops, config, obs, None)
-}
-
-/// [`serve_with_obs`] with an optional `after_request` hook, called by
-/// the answering worker after each reply is sent toward the socket with
-/// the total requests handled so far (1-based, monotonic across the run).
-/// This is how `--snapshot-every N` piggybacks periodic cache saves on
-/// the serve loop without a timer thread; the hook runs on a pool worker,
-/// so it must be cheap or rare.
-pub fn serve_with_hook(
-    listener: TcpListener,
-    cache: &EngineCache,
-    ops: &dyn BatchOps,
-    config: ServeConfig,
-    obs: &ServeObs,
-    after_request: Option<&(dyn Fn(u64) + Sync)>,
-) -> std::io::Result<ServeOutcome> {
+    let obs = &ServeObs::in_registry(cache.registry());
     let local = listener.local_addr()?;
     let handled = AtomicU64::new(0);
     let workers = config.effective_threads();
@@ -1128,9 +1076,7 @@ pub fn serve_with_hook(
                 // The connection may already be gone; its writer dropping
                 // the receiver is the cancellation signal.
                 let _ = reply.send((seq, lines));
-                if let Some(hook) = after_request {
-                    hook(handled.fetch_add(1, Ordering::Relaxed) + 1);
-                }
+                ops.after_request(handled.fetch_add(1, Ordering::Relaxed) + 1, cache);
             });
         }
         for stream in listener.incoming() {
@@ -1454,6 +1400,12 @@ fn stream_shutdown_write(stream: &TcpStream) {
 mod tests {
     use super::*;
 
+    /// One built-in-op request → its (single) reply line.
+    fn ask(line: &str, cache: &EngineCache) -> (String, bool) {
+        let (lines, is_shutdown) = handle_request(line, cache, &NoOps);
+        (lines.join("\n"), is_shutdown)
+    }
+
     #[test]
     fn parser_round_trips_flat_objects() {
         let map = parse_flat_object(
@@ -1494,7 +1446,7 @@ mod tests {
     #[test]
     fn engine_and_roster_ops_answer() {
         let cache = EngineCache::new();
-        let (resp, down) = handle_line(
+        let (resp, down) = ask(
             r#"{"id":7,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
             &cache,
         );
@@ -1503,7 +1455,7 @@ mod tests {
         assert!(resp.contains("\"feasible\":true"), "{resp}");
         assert!(resp.contains("\"peak_tops\":"), "{resp}");
 
-        let (roster_resp, _) = handle_line(r#"{"id":8,"op":"roster"}"#, &cache);
+        let (roster_resp, _) = ask(r#"{"id":8,"op":"roster"}"#, &cache);
         assert!(
             roster_resp.contains("OPT4E[EN-T]/28nm@2.00GHz"),
             "{roster_resp}"
@@ -1515,13 +1467,13 @@ mod tests {
     fn layer_op_is_deterministic_per_request() {
         let cache = EngineCache::new();
         let req = r#"{"id":1,"op":"layer","engine":"OPT3[EN-T]/28nm@2.00GHz","m":64,"n":128,"k":64,"seed":9}"#;
-        let (a, _) = handle_line(req, &cache);
-        let (b, _) = handle_line(req, &cache);
+        let (a, _) = ask(req, &cache);
+        let (b, _) = ask(req, &cache);
         assert_eq!(a, b);
         assert!(a.contains("\"utilization\":"), "{a}");
         // A different seed is a different answer.
         let req2 = r#"{"id":1,"op":"layer","engine":"OPT3[EN-T]/28nm@2.00GHz","m":64,"n":128,"k":64,"seed":10}"#;
-        let (c, _) = handle_line(req2, &cache);
+        let (c, _) = ask(req2, &cache);
         assert_ne!(a, c);
     }
 
@@ -1548,7 +1500,7 @@ mod tests {
             ),
             ("not json", "expected"),
         ] {
-            let (resp, down) = handle_line(req, &cache);
+            let (resp, down) = ask(req, &cache);
             assert!(!down);
             assert!(resp.contains("\"ok\":false"), "{req} -> {resp}");
             assert!(resp.contains(needle), "{req} -> {resp}");
@@ -1576,7 +1528,7 @@ mod tests {
             // id is not a number: recovery cannot invent one.
             (r#"{"id":"seven","op":"#, 0),
         ] {
-            let (resp, down) = handle_line(req, &cache);
+            let (resp, down) = ask(req, &cache);
             assert!(!down);
             assert!(
                 resp.starts_with(&format!("{{\"id\":{id},\"ok\":false,")),
@@ -1595,9 +1547,9 @@ mod tests {
         let base = r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#;
         let w8 = r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz","precision":"W8"}"#;
         let w4 = r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz","precision":"W4"}"#;
-        let (r_base, _) = handle_line(base, &cache);
-        let (r_w8, _) = handle_line(w8, &cache);
-        let (r_w4, _) = handle_line(w4, &cache);
+        let (r_base, _) = ask(base, &cache);
+        let (r_w8, _) = ask(w8, &cache);
+        let (r_w4, _) = ask(w4, &cache);
         assert_eq!(r_base, r_w8, "explicit W8 must be the default");
         assert_ne!(r_base, r_w4);
         assert!(r_w4.contains("@W4\""), "{r_w4}");
@@ -1607,7 +1559,7 @@ mod tests {
             let req = format!(
                 r#"{{"id":2,"op":"layer","engine":"OPT3[EN-T]/28nm@2.00GHz","m":64,"n":128,"k":64,"seed":7{p}}}"#
             );
-            handle_line(&req, &cache).0
+            ask(&req, &cache).0
         };
         let (d8, d4) = (layer(""), layer(r#","precision":"w4""#));
         let delay = |r: &str| {
@@ -1616,7 +1568,7 @@ mod tests {
         };
         assert!(delay(&d4) < delay(&d8), "W4 must be faster: {d4} vs {d8}");
         // Bad precision strings error without shutting down.
-        let (bad, down) = handle_line(
+        let (bad, down) = ask(
             r#"{"id":3,"op":"engine","engine":"OPT3[EN-T]","precision":"W99"}"#,
             &cache,
         );
@@ -1635,7 +1587,7 @@ mod tests {
             let req = format!(
                 r#"{{"id":2,"op":"layer","engine":"OPT3[EN-T]/28nm@2.00GHz","m":256,"n":1024,"k":1024,"seed":7{mem}}}"#
             );
-            handle_line(&req, &cache).0
+            ask(&req, &cache).0
         };
         let free = layer("");
         assert_eq!(
@@ -1669,7 +1621,7 @@ mod tests {
             let req = format!(
                 r#"{{"id":3,"op":"model","engine":"OPT4E[EN-T]/28nm@2.00GHz","model":"ResNet18","seed":7{mem}}}"#
             );
-            handle_line(&req, &cache).0
+            ask(&req, &cache).0
         };
         let free_model = model("");
         assert!(!free_model.contains("\"bound\""), "{free_model}");
@@ -1679,7 +1631,7 @@ mod tests {
             "{edge_model}"
         );
         // Bad corner names error without shutting down.
-        let (bad, down) = handle_line(
+        let (bad, down) = ask(
             r#"{"id":4,"op":"engine","engine":"OPT3[EN-T]","memory":"l9"}"#,
             &cache,
         );
@@ -1690,7 +1642,7 @@ mod tests {
     #[test]
     fn infeasible_engines_answer_feasible_false() {
         let cache = EngineCache::new();
-        let (resp, _) = handle_line(
+        let (resp, _) = ask(
             r#"{"id":2,"op":"engine","engine":"MAC(TPU)/28nm@2.00GHz"}"#,
             &cache,
         );
@@ -1701,7 +1653,7 @@ mod tests {
     #[test]
     fn shutdown_op_flags_the_connection() {
         let cache = EngineCache::new();
-        let (resp, down) = handle_line(r#"{"id":9,"op":"shutdown"}"#, &cache);
+        let (resp, down) = ask(r#"{"id":9,"op":"shutdown"}"#, &cache);
         assert!(down);
         assert!(resp.contains("\"op\":\"shutdown\""), "{resp}");
     }
@@ -1723,7 +1675,7 @@ mod tests {
             r#"{"op":"shutdown""#,
             "shutdown",
         ] {
-            let (_, down) = handle_line(line, &cache);
+            let (_, down) = ask(line, &cache);
             assert_eq!(
                 is_shutdown_request(line),
                 down,
@@ -1736,11 +1688,11 @@ mod tests {
     #[test]
     fn stats_op_reports_lookup_consistency_fields() {
         let cache = EngineCache::new();
-        handle_line(
+        ask(
             r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
             &cache,
         );
-        let (resp, _) = handle_line(r#"{"id":2,"op":"stats"}"#, &cache);
+        let (resp, _) = ask(r#"{"id":2,"op":"stats"}"#, &cache);
         for field in [
             "\"price_lookups\":",
             "\"cycle_lookups\":",
@@ -1773,14 +1725,14 @@ mod tests {
                 .expect(field)
         };
         let req = r#"{"id":1,"op":"model","engine":"OPT4E[EN-T]/28nm@2.00GHz","model":"resnet18"}"#;
-        let (cold, _) = handle_line(req, &cache);
-        let (warm, _) = handle_line(req, &cache);
+        let (cold, _) = ask(req, &cache);
+        let (warm, _) = ask(req, &cache);
         assert_eq!(
             cold.replace("\"id\":1", ""),
             warm.replace("\"id\":1", ""),
             "warm model op must answer byte-identically"
         );
-        let (stats, _) = handle_line(r#"{"id":2,"op":"stats"}"#, &cache);
+        let (stats, _) = ask(r#"{"id":2,"op":"stats"}"#, &cache);
         let (hits, misses, lookups) = (
             num(&stats, "model_hits"),
             num(&stats, "model_misses"),
@@ -1805,11 +1757,11 @@ mod tests {
                 .parse()
                 .expect(field)
         };
-        handle_line(
+        ask(
             r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
             &cache,
         );
-        let (first, _) = handle_line(r#"{"id":2,"op":"stats"}"#, &cache);
+        let (first, _) = ask(r#"{"id":2,"op":"stats"}"#, &cache);
         assert_eq!(num(&first, "since_price_misses"), 1, "{first}");
         assert_eq!(
             num(&first, "since_price_lookups"),
@@ -1817,7 +1769,7 @@ mod tests {
             "first window covers everything: {first}"
         );
         // Nothing between polls → an all-zero window, totals unchanged.
-        let (second, _) = handle_line(r#"{"id":3,"op":"stats"}"#, &cache);
+        let (second, _) = ask(r#"{"id":3,"op":"stats"}"#, &cache);
         assert_eq!(num(&second, "since_price_lookups"), 0, "{second}");
         assert_eq!(
             num(&second, "price_lookups"),
@@ -1825,35 +1777,36 @@ mod tests {
             "{second}"
         );
         // A warm repeat lands one hit in the next window only.
-        handle_line(
+        ask(
             r#"{"id":4,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
             &cache,
         );
-        let (third, _) = handle_line(r#"{"id":5,"op":"stats"}"#, &cache);
+        let (third, _) = ask(r#"{"id":5,"op":"stats"}"#, &cache);
         assert_eq!(num(&third, "since_price_hits"), 1, "{third}");
         assert_eq!(num(&third, "since_price_misses"), 0, "{third}");
         // Uptime subtracts the caller's monotonic origin, saturating.
         let up = num(&third, "uptime_ms");
         let far_future = 1u64 << 52; // ~143k years in ms, within the 2^53 field cap
-        let (offset, _) = handle_line(
+        let (offset, _) = ask(
             &format!(r#"{{"id":6,"op":"stats","origin":{far_future}}}"#),
             &cache,
         );
         assert_eq!(num(&offset, "uptime_ms"), 0, "{offset}");
-        let (rel, _) = handle_line(r#"{"id":7,"op":"stats","origin":0}"#, &cache);
+        let (rel, _) = ask(r#"{"id":7,"op":"stats","origin":0}"#, &cache);
         assert!(num(&rel, "uptime_ms") >= up, "{rel}");
     }
 
-    /// The metrics op folds the serving cache's counters into the registry
-    /// snapshot, and histograms round-trip through the bucket CSV.
+    /// The metrics op snapshots the serving cache's own registry — its
+    /// hit/miss counters and this cache's evaluator stages, exactly — and
+    /// histograms round-trip through the bucket CSV.
     #[test]
     fn metrics_op_snapshots_registry_and_cache() {
         let cache = EngineCache::new();
-        handle_line(
+        ask(
             r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
             &cache,
         );
-        let (resp, down) = handle_line(r#"{"id":2,"op":"metrics"}"#, &cache);
+        let (resp, down) = ask(r#"{"id":2,"op":"metrics"}"#, &cache);
         assert!(!down);
         assert!(
             resp.starts_with("{\"id\":2,\"ok\":true,\"op\":\"metrics\""),
@@ -1871,17 +1824,18 @@ mod tests {
         ] {
             assert!(resp.contains(field), "missing {field} in {resp}");
         }
-        // The global eval instrumentation shows up as histograms with the
-        // full wire shape (count/sum/max/quantiles/buckets).
+        // The cache's eval instrumentation shows up as histograms with the
+        // full wire shape (count/sum/max/quantiles/buckets); the registry
+        // is this cache's alone, so the count is exact.
         for field in [
-            "\"hist_eval_synthesis_ns_count\":",
+            "\"hist_eval_synthesis_ns_count\":1,",
             "\"hist_eval_synthesis_ns_p50\":",
             "\"hist_eval_synthesis_ns_buckets\":\"",
         ] {
             assert!(resp.contains(field), "missing {field} in {resp}");
         }
         // The prometheus variant renders text exposition, escaped.
-        let (prom, _) = handle_line(r#"{"id":3,"op":"metrics","format":"prometheus"}"#, &cache);
+        let (prom, _) = ask(r#"{"id":3,"op":"metrics","format":"prometheus"}"#, &cache);
         assert!(prom.contains("\"format\":\"prometheus\""), "{prom}");
         assert!(
             prom.contains("# TYPE tpe_cache_price_hits counter"),
@@ -1892,7 +1846,7 @@ mod tests {
             "exposition newlines are escaped: {prom}"
         );
         // Unknown formats error without shutting down.
-        let (bad, down) = handle_line(r#"{"id":4,"op":"metrics","format":"xml"}"#, &cache);
+        let (bad, down) = ask(r#"{"id":4,"op":"metrics","format":"xml"}"#, &cache);
         assert!(!down);
         assert!(bad.contains("unknown metrics format"), "{bad}");
     }
@@ -1981,6 +1935,20 @@ mod tests {
         let (unknown, _) = handle_request(r#"{"id":3,"op":"warp"}"#, &cache, &ops);
         assert!(unknown[0].contains("|snapshot"), "{unknown:?}");
         let _ = std::fs::remove_file(&path);
+
+        // `saving_every(2)` saves after every second handled request only.
+        let periodic = SnapshotOps::new(&NoOps, &path).saving_every(2);
+        periodic.after_request(1, &cache);
+        assert!(!path.exists(), "request 1 must not save");
+        periodic.after_request(2, &cache);
+        let info = crate::snapshot::load(&fresh, &path).unwrap();
+        assert_eq!(info.map(|i| i.entries), Some(cache.entry_count()));
+        assert_eq!(
+            cache.registry().snapshot().gauge("snapshot_entries"),
+            Some(cache.entry_count() as i64),
+            "the save records into the saved cache's registry"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     /// Request classification comes out of the handler's own parse and
@@ -1998,6 +1966,18 @@ mod tests {
         assert_eq!(class(r#"{"id":1,"op":"nope"}"#), RequestClass::Other);
         assert_eq!(class(r#"{"id":1}"#), RequestClass::Other);
         assert_eq!(class("not json"), RequestClass::Malformed);
+        // A server-level default cycle model is injected as if the client
+        // had sent the field; an explicit field wins.
+        let layer = r#"{"id":1,"op":"layer","engine":"OPT4E[EN-T]","m":8,"n":16,"k":8}"#;
+        let explicit = r#"{"id":1,"op":"layer","engine":"OPT4E[EN-T]","m":8,"n":16,"k":8,"cycle_model":"analytic"}"#;
+        let defaulted = handle_request_classified(layer, &cache, &NoOps, CycleModel::Analytic).0;
+        assert_eq!(defaulted, handle_request(explicit, &cache, &NoOps).0);
+        assert!(defaulted[0].contains(r#""cycle_model":"analytic""#));
+        let sampled = r#"{"id":1,"op":"layer","engine":"OPT4E[EN-T]","m":8,"n":16,"k":8,"cycle_model":"sampled"}"#;
+        assert_eq!(
+            handle_request_classified(sampled, &cache, &NoOps, CycleModel::Analytic).0,
+            handle_request(layer, &cache, &NoOps).0
+        );
         // record_class ticks exactly the counters record_op used to.
         let registry = Registry::new();
         let obs = ServeObs::in_registry(&registry);

@@ -43,7 +43,7 @@
 //! empty-with-warning at every call site, never as a panic.
 
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
@@ -716,10 +716,10 @@ pub fn decode(bytes: &[u8]) -> Result<CacheContents, String> {
     Ok(contents)
 }
 
-/// Persistence metrics, registered once on the global registry: save and
-/// load wall-clock spans, the entry count of the last snapshot touched
-/// (`gauge_snapshot_entries` in the metrics op), and strict-reject count
-/// (`ctr_snapshot_rejected`).
+/// Persistence metrics, resolved from the registry of the cache being
+/// saved or loaded: save and load wall-clock spans, the entry count of
+/// the last snapshot touched (`gauge_snapshot_entries` in the metrics
+/// op), and strict-reject count (`ctr_snapshot_rejected`).
 struct SnapObs {
     save_ns: Arc<tpe_obs::Histogram>,
     load_ns: Arc<tpe_obs::Histogram>,
@@ -727,17 +727,16 @@ struct SnapObs {
     rejected: Arc<tpe_obs::Counter>,
 }
 
-fn snap_obs() -> &'static SnapObs {
-    static OBS: OnceLock<SnapObs> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = tpe_obs::Registry::global();
-        SnapObs {
+impl SnapObs {
+    fn of(cache: &EngineCache) -> Self {
+        let reg = cache.registry();
+        Self {
             save_ns: reg.histogram("snapshot_save_ns"),
             load_ns: reg.histogram("snapshot_load_ns"),
             entries: reg.gauge("snapshot_entries"),
             rejected: reg.counter("snapshot_rejected"),
         }
-    })
+    }
 }
 
 /// Exports `cache` and writes the snapshot to `path` atomically: the
@@ -745,7 +744,7 @@ fn snap_obs() -> &'static SnapObs {
 /// concurrent reader (or a crash mid-write) sees either the old complete
 /// snapshot or the new one, never a torn file.
 pub fn save(cache: &EngineCache, path: &Path) -> Result<SnapshotInfo, String> {
-    let obs = snap_obs();
+    let obs = SnapObs::of(cache);
     let _span = obs.save_ns.span();
     let contents = cache.export();
     let entries = contents.len();
@@ -774,7 +773,7 @@ pub fn save(cache: &EngineCache, path: &Path) -> Result<SnapshotInfo, String> {
 /// `ctr_snapshot_rejected` and returned as `Err` so callers warn and
 /// continue cold — results are never poisoned, and nothing panics.
 pub fn load(cache: &EngineCache, path: &Path) -> Result<Option<SnapshotInfo>, String> {
-    let obs = snap_obs();
+    let obs = SnapObs::of(cache);
     let _span = obs.load_ns.span();
     let bytes = match std::fs::read(path) {
         Ok(b) => b,

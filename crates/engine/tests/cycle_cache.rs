@@ -9,9 +9,8 @@
 //! `eval_serial_analytic_ns` histogram that joins the sampled path's
 //! `eval_serial_sample_ns` span.
 
-use tpe_engine::serve::{handle_request, handle_request_with, NoOps};
+use tpe_engine::serve::{handle_request, NoOps};
 use tpe_engine::{roster, CycleModel, EngineCache, Evaluator, SweepWorkload};
-use tpe_obs::Registry;
 use tpe_workloads::LayerShape;
 
 fn serial_probe() -> (tpe_engine::EngineSpec, SweepWorkload) {
@@ -88,17 +87,19 @@ fn analytic_entries_are_seed_canonicalized() {
 }
 
 /// The serve `stats` op still certifies `hits + misses == lookups` after
-/// a mixed sampled/analytic request stream, the analytic replies echo
-/// their mode, and sampled replies stay byte-identical to a server that
-/// has never heard of cycle models.
+/// a mixed sampled/analytic request stream (the analytic request carries
+/// `"cycle_model":"analytic"`, which is what a server-level default
+/// injects), the analytic replies echo their mode, and sampled replies
+/// stay byte-identical to a server that has never heard of cycle models.
 #[test]
 fn stats_op_invariant_holds_across_modes() {
     let cache: &'static EngineCache = Box::leak(Box::new(EngineCache::new()));
     let layer_req =
         r#"{"id":1,"op":"layer","engine":"OPT4E[EN-T]","m":48,"n":192,"k":96,"seed":7}"#;
+    let analytic_req = r#"{"id":1,"op":"layer","engine":"OPT4E[EN-T]","m":48,"n":192,"k":96,"seed":7,"cycle_model":"analytic"}"#;
 
     let (sampled, _) = handle_request(layer_req, cache, &NoOps);
-    let (analytic, _) = handle_request_with(layer_req, cache, &NoOps, CycleModel::Analytic);
+    let (analytic, _) = handle_request(analytic_req, cache, &NoOps);
     assert!(
         analytic[0].contains(r#""cycle_model":"analytic""#),
         "analytic replies must carry the mode: {}",
@@ -109,12 +110,6 @@ fn stats_op_invariant_holds_across_modes() {
         "sampled replies must stay byte-identical to the pre-mode protocol: {}",
         sampled[0]
     );
-    // An explicit per-request field overrides the server default the same
-    // way — the reply is identical to the default-injected one.
-    let explicit = r#"{"id":1,"op":"layer","engine":"OPT4E[EN-T]","m":48,"n":192,"k":96,"seed":7,"cycle_model":"analytic"}"#;
-    let (explicit_reply, _) = handle_request(explicit, cache, &NoOps);
-    assert_eq!(explicit_reply, analytic);
-
     let (stats, _) = handle_request(r#"{"id":2,"op":"stats"}"#, cache, &NoOps);
     let reply = &stats[0];
     let hits = field_u64(reply, "price_hits") + field_u64(reply, "cycle_hits");
@@ -126,23 +121,32 @@ fn stats_op_invariant_holds_across_modes() {
 
 /// A cold analytic evaluation records into `eval_serial_analytic_ns`
 /// (the closed-form path's span beside the sampler's
-/// `eval_serial_sample_ns`). The histograms are process-global and
-/// monotone, so the delta assertion is safe under parallel test threads.
+/// `eval_serial_sample_ns`). The histograms live in the fresh cache's own
+/// registry, so the counts are exact under parallel test threads: one
+/// closed-form evaluation, no sampling, and a warm repeat records nothing.
 #[test]
 fn analytic_cold_run_records_into_its_histogram() {
-    let registry = Registry::global();
-    let before = registry.snapshot();
-
     let cache = EngineCache::new();
     let (engine, workload) = serial_probe();
-    Evaluator::new(&cache)
-        .with_cycle_model(CycleModel::Analytic)
-        .metrics(&engine, &workload, 3)
-        .expect("analytic cold run");
+    let eval = Evaluator::new(&cache).with_cycle_model(CycleModel::Analytic);
+    let count = |name: &str| {
+        cache
+            .registry()
+            .snapshot()
+            .histogram(name)
+            .map_or(0, |h| h.count())
+    };
 
-    let delta = registry.snapshot().since(&before);
-    let count = delta
-        .histogram("eval_serial_analytic_ns")
-        .map_or(0, |h| h.count());
-    assert!(count > 0, "analytic span must record: {delta:?}");
+    eval.metrics(&engine, &workload, 3)
+        .expect("analytic cold run");
+    assert_eq!(count("eval_serial_analytic_ns"), 1);
+    assert_eq!(count("eval_serial_sample_ns"), 0);
+
+    eval.metrics(&engine, &workload, 3)
+        .expect("analytic warm run");
+    assert_eq!(
+        count("eval_serial_analytic_ns"),
+        1,
+        "warm runs hit the cache"
+    );
 }

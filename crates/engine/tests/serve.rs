@@ -10,11 +10,8 @@ use std::net::TcpListener;
 use std::thread::JoinHandle;
 
 use proptest::prelude::*;
-use tpe_engine::serve::{
-    query_batch, serve_with, serve_with_obs, NoOps, ServeConfig, ServeObs, ServeOutcome,
-};
+use tpe_engine::serve::{query_batch, serve_with, NoOps, ServeConfig, ServeOutcome};
 use tpe_engine::EngineCache;
-use tpe_obs::Registry;
 
 /// A 4-worker pool even on the 1-core CI box: the pool there proves
 /// ordering (responses must reassemble in request order regardless of
@@ -197,83 +194,101 @@ fn field_u64(reply: &str, key: &str) -> u64 {
 }
 
 /// Satellite: the observability layer's own accounting under a mixed
-/// 4-client load. Into an isolated registry (so parallel test binaries
-/// cannot pollute the counts): per-op request counters sum to the total
-/// pool-processed requests, the queue-wait and eval histograms saw
-/// exactly one record per request, the in-flight gauge returns to zero,
-/// and the serving cache's hits + misses == lookups invariant holds as
-/// reported over the wire by the `metrics` op.
+/// 4-client load, with two servers over two fresh caches running at the
+/// same time. Metrics belong to the cache, so each server's own `metrics`
+/// reply carries exact per-op counts and one queue-wait and one eval
+/// record per request it answered (plus the poll's own queue wait) — the
+/// other server's traffic never lands in them — and `stats` and `metrics`
+/// agree on every `cache_*` counter (they read the same atomics). After
+/// shutdown the cache's registry accounts for every pool-processed
+/// request exactly once and the in-flight gauge is zero.
 #[test]
 fn observability_counters_stay_consistent_under_concurrent_load() {
-    let cache: &'static EngineCache = &*Box::leak(Box::new(EngineCache::new()));
-    let registry: &'static Registry = &*Box::leak(Box::new(Registry::new()));
-    let obs: &'static ServeObs = &*Box::leak(Box::new(ServeObs::in_registry(registry)));
-    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let handle =
-        std::thread::spawn(move || serve_with_obs(listener, cache, &NoOps, pool_config(), obs));
-
-    // 4 clients × 12 mixed requests, concurrently.
+    let servers: Vec<_> = (0..2)
+        .map(|_| {
+            let cache: &'static EngineCache = &*Box::leak(Box::new(EngineCache::new()));
+            (cache, spawn_server_with(cache, pool_config()))
+        })
+        .collect();
+    // Both servers take 4 clients × 12 mixed requests at the same time.
     std::thread::scope(|scope| {
-        let addr = addr.as_str();
-        for c in 0..4 {
-            scope.spawn(move || {
-                let replies = query_batch(addr, &client_batch(c)).expect("client");
-                assert!(replies.iter().all(|r| r.contains("\"ok\":true")));
-            });
+        for (_, (addr, _)) in &servers {
+            for c in 0..4 {
+                scope.spawn(move || {
+                    let replies = query_batch(addr, &client_batch(c)).expect("client");
+                    assert!(replies.iter().all(|r| r.contains("\"ok\":true")));
+                });
+            }
         }
     });
 
-    // Workers record metrics *before* replying, so with all 48 client
-    // replies read, a metrics poll now must already cover them. Its
-    // cache counters come from the serving instance, so the invariant
-    // check over the wire is exact.
-    let metrics = query_batch(&addr, &[r#"{"id":1,"op":"metrics"}"#.to_string()])
-        .expect("metrics")
-        .pop()
-        .unwrap();
-    for kind in ["price", "cycle"] {
-        assert_eq!(
-            field_u64(&metrics, &format!("ctr_cache_{kind}_lookups")),
-            field_u64(&metrics, &format!("ctr_cache_{kind}_hits"))
-                + field_u64(&metrics, &format!("ctr_cache_{kind}_misses")),
-            "{kind} accounting drifted over the wire: {metrics}"
-        );
-    }
-    assert!(
-        field_u64(&metrics, "ctr_cache_price_lookups") > 0,
-        "{metrics}"
-    );
+    let requests = 4 * 12;
+    for (cache, (addr, handle)) in servers {
+        // Workers record metrics *before* replying, so with all 48 client
+        // replies read, a metrics poll covers exactly them (a metrics
+        // response never includes its own request). One poll per
+        // connection: pipelined, two workers could answer in either order.
+        let poll = |line: &str| {
+            query_batch(&addr, &[line.to_string()])
+                .expect("poll")
+                .remove(0)
+        };
+        let metrics = &poll(r#"{"id":1,"op":"metrics"}"#);
+        let stats = &poll(r#"{"id":2,"op":"stats"}"#);
+        for (name, want) in [
+            ("ctr_serve_op_engine", 4 * 3),
+            ("ctr_serve_op_layer", 4 * 6),
+            ("ctr_serve_op_model", 4 * 3),
+            ("ctr_serve_op_metrics", 0),
+            ("ctr_serve_op_other", 0),
+            ("ctr_serve_parse_errors", 0),
+            ("hist_serve_eval_ns_count", requests),
+            // Queue wait records at pickup, so the poll's own wait is in.
+            ("hist_serve_queue_wait_ns_count", requests + 1),
+            // Only the poll itself is in flight.
+            ("gauge_serve_inflight", 1),
+            // 4 client connections + this poll's.
+            ("ctr_serve_connections", 5),
+        ] {
+            assert_eq!(field_u64(metrics, name), want, "{name}: {metrics}");
+        }
+        // One source of truth: `stats` and `metrics` read the same cache
+        // counters (neither poll looks anything up, and the clients are
+        // done).
+        for kind in ["price", "cycle", "model"] {
+            for what in ["hits", "misses", "lookups"] {
+                let name = format!("{kind}_{what}");
+                let ctr = field_u64(metrics, &format!("ctr_cache_{name}"));
+                assert_eq!(ctr, field_u64(stats, &name), "{name}: {metrics} vs {stats}");
+            }
+            let stat = |what: &str| field_u64(stats, &format!("{kind}_{what}"));
+            assert_eq!(stat("lookups"), stat("hits") + stat("misses"), "{stats}");
+        }
+        assert!(field_u64(stats, "price_lookups") > 0, "{stats}");
 
-    shutdown(&addr);
-    handle.join().unwrap().expect("serve loop");
-
-    // Quiescent: 48 client requests + 1 metrics + 1 shutdown went
-    // through the pool. Every one was classified into exactly one op
-    // counter and recorded in both latency histograms.
-    let total = 4 * 12 + 2;
-    let counted: u64 = obs.op_requests.iter().map(|c| c.get()).sum();
-    assert_eq!(counted + obs.other_requests.get(), total);
-    assert_eq!(obs.other_requests.get(), 0);
-    assert_eq!(obs.parse_errors.get(), 0);
-    for (op, want) in [
-        ("engine", 4 * 3),
-        ("layer", 4 * 6),
-        ("model", 4 * 3),
-        ("metrics", 1),
-        ("shutdown", 1),
-    ] {
+        shutdown(&addr);
+        handle.join().unwrap().expect("serve loop");
+        // Quiescent: the 48 client requests, both polls and the shutdown
+        // went through the pool, each classified into exactly one op
+        // counter and recorded in both latency histograms.
+        let snap = cache.registry().snapshot();
+        let total = requests + 3;
+        let ops = snap.counters().filter(|(n, _)| n.starts_with("serve_op_"));
+        assert_eq!(ops.map(|(_, v)| v).sum::<u64>(), total);
+        for op in ["metrics", "stats", "shutdown"] {
+            assert_eq!(snap.counter(&format!("serve_op_{op}")), Some(1), "{op}");
+        }
+        for hist in ["serve_queue_wait_ns", "serve_eval_ns"] {
+            assert_eq!(snap.histogram(hist).map(|h| h.count()), Some(total));
+        }
         assert_eq!(
-            obs.op_counter(op).expect("counted op").get(),
-            want,
-            "op {op}"
+            snap.gauge("serve_inflight"),
+            Some(0),
+            "in-flight returns to 0"
         );
+        // 4 client connections + the two polls + the shutdown.
+        assert_eq!(snap.counter("serve_connections"), Some(7));
     }
-    assert_eq!(obs.queue_wait_ns.snapshot().count(), total);
-    assert_eq!(obs.eval_ns.snapshot().count(), total);
-    assert_eq!(obs.inflight.get(), 0, "in-flight gauge must return to 0");
-    // 4 client connections + the metrics poll + the shutdown.
-    assert_eq!(obs.connections.get(), 6);
 }
 
 /// Satellite: a shutdown in the middle of a batch answers the remaining

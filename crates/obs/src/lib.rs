@@ -5,20 +5,20 @@
 //! Std-only observability primitives for the serving stack: atomic
 //! [`Counter`]s and [`Gauge`]s, fixed-bucket log2 latency [`Histogram`]s
 //! (p50/p90/p99 derivable from the buckets, max tracked exactly), a
-//! named-metric [`Registry`] with a process-wide instance, and scoped
-//! [`Span`] timers. Zero dependencies, zero allocation on the hot path:
-//! recording into any metric is one or two relaxed atomic RMWs, so
-//! instrumentation can stay always-on even around the ~100 ns warm
-//! pricing path (`tpe-engine` pins the added cost with a criterion
-//! bench).
+//! named-metric [`Registry`] (one per owner — the engine gives every
+//! cache its own), and scoped [`Span`] timers. Zero dependencies, zero
+//! allocation on the hot path: recording into any metric is one or two
+//! relaxed atomic RMWs, so instrumentation can stay always-on even around
+//! the ~100 ns warm pricing path (`tpe-engine` pins the added cost with a
+//! criterion bench).
 //!
 //! ## Design
 //!
 //! * **Handles, not lookups.** [`Registry::counter`] & friends
 //!   get-or-register by name and return an [`Arc`] handle;
-//!   instrumentation sites resolve their handles once (typically in a
-//!   `OnceLock`) and touch only the atomics afterwards. The registry
-//!   lock is never on a hot path.
+//!   instrumentation sites resolve their handles once (typically when
+//!   their owner is built) and touch only the atomics afterwards. The
+//!   registry lock is never on a hot path.
 //! * **Log2 buckets.** A histogram has 64 buckets: bucket 0 holds the
 //!   value 0 and bucket *i* holds values in `[2^(i-1), 2^i)` (the last
 //!   bucket is open-ended). Quantiles interpolate linearly *within* the
@@ -29,9 +29,9 @@
 //!   percentiles over a long-running server need only two snapshots.
 //! * **Snapshots diff.** [`Registry::snapshot`] captures every metric
 //!   into plain maps; [`Snapshot::since`] subtracts an earlier snapshot
-//!   to isolate one batch/window. External counters (e.g. the engine
-//!   cache's hit/miss atomics) fold into a snapshot via
-//!   [`Snapshot::set_counter`] so one exposition covers them too.
+//!   to isolate one batch/window. Derived levels the registry does not
+//!   own (e.g. a cache's entry counts) fold into a snapshot via
+//!   [`Snapshot::set_gauge`] so one exposition covers them too.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -302,28 +302,28 @@ enum Metric {
 }
 
 /// A named-metric registry. Get-or-register returns shared handles;
-/// [`Registry::snapshot`] captures everything at once. Most callers want
-/// [`Registry::global`]; isolated instances exist for exact-count tests.
-#[derive(Debug, Default)]
+/// [`Registry::snapshot`] captures everything at once. There is no
+/// process-wide instance: each owner (in this workspace, each engine
+/// cache) holds its own, so two owners in one process never mix counts.
+#[derive(Debug)]
 pub struct Registry {
     metrics: RwLock<BTreeMap<String, Metric>>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Registry {
     /// An empty, isolated registry.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The process-wide instance every default instrumentation site
-    /// registers into.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            // Anchor the uptime epoch no later than first registry use.
-            let _ = process_start();
-            Registry::new()
-        })
+        // Anchor the uptime epoch no later than first registry use.
+        let _ = process_start();
+        Self {
+            metrics: RwLock::new(BTreeMap::new()),
+        }
     }
 
     fn get_or_register<T>(
@@ -423,7 +423,7 @@ impl Registry {
 }
 
 /// A point-in-time capture of a registry (plus any folded-in external
-/// counters), diffable and renderable.
+/// gauges), diffable and renderable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     counters: BTreeMap<String, u64>,
@@ -460,13 +460,6 @@ impl Snapshot {
     /// One histogram's state, if present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
-    }
-
-    /// Folds an external counter (e.g. a cache's hit/miss atomics) into
-    /// the snapshot so one exposition covers metrics the registry does
-    /// not own.
-    pub fn set_counter(&mut self, name: &str, v: u64) {
-        self.counters.insert(name.to_string(), v);
     }
 
     /// Folds an external gauge level into the snapshot.
@@ -541,8 +534,8 @@ impl Snapshot {
 }
 
 /// The process's observability epoch: the instant of the first call
-/// (anchored by [`Registry::global`], so in practice ~process start for
-/// any instrumented binary).
+/// (anchored by [`Registry::new`], so in practice the first registry's
+/// creation for any instrumented binary).
 pub fn process_start() -> Instant {
     static START: OnceLock<Instant> = OnceLock::new();
     *START.get_or_init(Instant::now)
@@ -733,13 +726,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_folds_external_counters_and_renders_prometheus() {
+    fn snapshot_folds_external_gauges_and_renders_prometheus() {
         let reg = Registry::new();
         reg.counter("reqs").add(12);
+        reg.counter("cache_hits").add(99);
         reg.gauge("inflight").set(2);
         reg.histogram("eval_ns").record(900);
         let mut snap = reg.snapshot();
-        snap.set_counter("cache_hits", 99);
         snap.set_gauge("entries", 4);
         let text = snap.render_prometheus("tpe");
         for needle in [
@@ -757,10 +750,13 @@ mod tests {
     }
 
     #[test]
-    fn uptime_is_monotone() {
+    fn uptime_is_monotone_and_anchored_by_the_first_registry() {
+        let _ = Registry::new();
+        let anchored = process_start();
         let a = uptime_ms();
         let b = uptime_ms();
         assert!(b >= a);
-        let _ = Registry::global().counter("tpe_obs_test_touch");
+        let _ = Registry::new();
+        assert_eq!(process_start(), anchored, "the epoch is set once");
     }
 }

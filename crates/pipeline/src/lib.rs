@@ -61,7 +61,7 @@ pub use grid::{run_grid, GridConfig, GridOutcome, ModelRun};
 pub use tpe_engine::fnv1a;
 pub use tpe_engine::report::{LayerReport, ModelReport};
 pub use tpe_engine::schedule::{
-    dense_model_cycles, dense_tiles, evaluate_model, schedule_layer, serial_model_cycles,
+    dense_model_cycles, dense_tiles, evaluate_model_with, schedule_layer_with, serial_model_cycles,
     MODEL_SAMPLE_CAPS,
 };
 pub use tpe_engine::spec::{EnginePrice, EngineSpec};

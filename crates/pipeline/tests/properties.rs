@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use tpe_arith::encode::EncodingKind;
 use tpe_core::arch::PeStyle;
-use tpe_pipeline::{run_grid, EngineSpec, GridConfig, MODEL_SAMPLE_CAPS};
+use tpe_engine::EngineCache;
+use tpe_pipeline::{evaluate_model_with, run_grid, EngineSpec, GridConfig, MODEL_SAMPLE_CAPS};
 use tpe_sim::array::ClassicArch;
 use tpe_workloads::models;
 use tpe_workloads::{LayerShape, NetworkModel};
@@ -58,10 +59,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let net = synthetic_net(&shapes);
+        let cache = EngineCache::global();
         for engine in engines_under_test_with_memory_corners() {
             let price = engine.price().expect("paper clocks close timing");
-            let report =
-                tpe_pipeline::evaluate_model(&engine, &price, &net, seed, MODEL_SAMPLE_CAPS);
+            let report = evaluate_model_with(cache, &engine, &price, &net, seed, MODEL_SAMPLE_CAPS);
             prop_assert_eq!(report.layers.len(), net.layers.len());
 
             let cycles: f64 = report.layers.iter().map(|l| l.cycles).sum();
@@ -118,20 +119,21 @@ fn model_grid_csv_is_byte_identical_across_runs_and_thread_counts() {
 /// CSV, and different seeds actually reach the per-layer samplers.
 #[test]
 fn dse_model_points_are_thread_count_invariant() {
-    use tpe_dse::{pareto_front, sweep, DesignSpace, Objective, SweepConfig};
+    use tpe_dse::{pareto_front, sweep_with_cache, DesignSpace, Objective, SweepConfig};
 
     let space = DesignSpace::with_models("mobilenetv3").unwrap();
     // Serial points only: they are the ones that sample RNG streams.
     let points = space.enumerate_filtered("OPT4E[EN-T]/28nm");
     assert!(!points.is_empty());
     let emit = |threads: usize, seed: u64| {
-        let outcome = sweep(
+        let outcome = sweep_with_cache(
             &points,
             SweepConfig {
                 threads,
                 seed,
                 ..SweepConfig::default()
             },
+            EngineCache::global(),
         );
         let front = pareto_front(&outcome.results, &Objective::DEFAULT);
         tpe_dse::emit::to_csv(&outcome.results, &front)

@@ -11,7 +11,9 @@
 //! `OPT4E` or `28nm@2.00`.
 
 use tpe::dse::emit::to_csv;
-use tpe::dse::{pareto_front_per_workload, sweep, DesignSpace, Objective, SweepConfig};
+use tpe::dse::{
+    pareto_front_per_workload, sweep_with_cache, DesignSpace, EngineCache, Objective, SweepConfig,
+};
 
 fn main() {
     let filter = std::env::args().nth(1).unwrap_or_default();
@@ -30,21 +32,23 @@ fn main() {
 
     // Sweep serially and in parallel: the outputs must be byte-identical,
     // and the wall-clock difference is the executor's scaling.
-    let serial = sweep(
+    let serial = sweep_with_cache(
         &points,
         SweepConfig {
             threads: 1,
             seed: 42,
             ..SweepConfig::default()
         },
+        EngineCache::global(),
     );
-    let parallel = sweep(
+    let parallel = sweep_with_cache(
         &points,
         SweepConfig {
             threads: 0,
             seed: 42,
             ..SweepConfig::default()
         },
+        EngineCache::global(),
     );
     assert_eq!(serial.results, parallel.results, "determinism violated");
     println!(
