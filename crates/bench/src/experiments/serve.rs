@@ -188,7 +188,7 @@ fn try_serve(args: &[String]) -> Result<String, String> {
         "repro serve listening on {addr} ({} worker(s), max line {} bytes; NDJSON; \
          ops: engine|layer|metrics|model|roster|stats{}|shutdown; \
          default cycle model {}{warm_note})",
-        config.effective_threads(),
+        tpe_engine::effective_threads(config.threads),
         config.max_line_bytes,
         ops.op_names(),
         config.cycle_model.name(),

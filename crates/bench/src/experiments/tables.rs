@@ -216,7 +216,7 @@ fn table7_name(spec: &tpe_engine::EngineSpec) -> String {
 /// the paper's column.
 fn table7_row(spec: &tpe_engine::EngineSpec) -> Table7Row {
     use tpe_core::arch::array::EFFECTIVE_NUMPPS_NORMAL;
-    let price = tpe_engine::Evaluator::global()
+    let price = tpe_engine::Evaluator::new(tpe_engine::EngineCache::global())
         .price(spec)
         .unwrap_or_else(|| panic!("{} cannot close timing", spec.label()));
     let raw_tops = price.lanes_total * 2.0 * spec.freq_ghz * 1e9 / 1e12;

@@ -14,7 +14,7 @@ use tpe_core::arch::PeStyle;
 use tpe_cost::report::{num, Table};
 use tpe_engine::cache::SerialLayerRecord;
 use tpe_engine::schedule::{cached_serial_cycles, serial_config};
-use tpe_engine::{EnginePrice, EngineSpec, Evaluator, SampleProfile};
+use tpe_engine::{EngineCache, EnginePrice, EngineSpec, Evaluator, SampleProfile};
 use tpe_sim::array::ClassicArch;
 use tpe_workloads::models;
 use tpe_workloads::{LayerShape, NetworkModel};
@@ -83,7 +83,7 @@ fn serial_layer(
 /// Figure 11: per-sublayer delay and OPT4E column utilization for GPT-2
 /// (`net = "gpt2"`) or MobileNetV3 (`net = "mobilenetv3"`).
 pub fn fig11(net: &str) -> String {
-    let eval = Evaluator::global();
+    let eval = Evaluator::new(EngineCache::global());
     let spec = opt4e();
     let price = eval.price(&spec).expect("OPT4E prices");
     let scale = equal_area_scale(&eval, &spec);
@@ -175,7 +175,7 @@ fn evaluate_network(
 /// Figure 12: normalized delay of OPT4E vs the parallel-MAC TPE across
 /// networks, with the OPT4E idle ratio.
 pub fn fig12() -> String {
-    let eval = Evaluator::global();
+    let eval = Evaluator::new(EngineCache::global());
     let spec = opt4e();
     let mut t = Table::new(["network", "norm. delay%", "util%", "idle%"]);
     for net in NetworkModel::all() {
@@ -197,7 +197,7 @@ pub fn fig12() -> String {
 /// Figure 13: normalized speedup and energy-consumption ratio across
 /// networks.
 pub fn fig13() -> String {
-    let eval = Evaluator::global();
+    let eval = Evaluator::new(EngineCache::global());
     let spec = opt4e();
     let mut t = Table::new(["network", "speedup", "energy ratio (OPT4E/MAC)"]);
     let mut rows: Vec<(String, f64, f64)> = Vec::new();
@@ -249,7 +249,7 @@ mod tests {
         use tpe_core::arch::ArchModel;
         use tpe_workloads::LayerShape;
 
-        let eval = tpe_engine::Evaluator::global();
+        let eval = tpe_engine::Evaluator::new(tpe_engine::EngineCache::global());
         let spec = super::opt4e();
         let price = eval.price(&spec).unwrap();
         let arch = ArchModel::table7_ours()

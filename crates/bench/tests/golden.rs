@@ -261,7 +261,7 @@ fn table7_roster_prices_are_bit_identical_to_snapshot() {
     ];
     let roster = EngineSpec::paper_roster();
     assert_eq!(roster.len(), SNAPSHOT.len());
-    let eval = Evaluator::global();
+    let eval = Evaluator::new(EngineCache::global());
     for (spec, &(label, area, active, idle, peak)) in roster.iter().zip(SNAPSHOT) {
         assert_eq!(spec.label(), label, "roster order changed");
         let p = eval

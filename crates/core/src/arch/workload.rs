@@ -20,8 +20,10 @@
 
 use super::designs::PeStyle;
 use super::{ArchKind, ArchModel};
+use crate::memo::Memo;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::OnceLock;
 use tpe_arith::encode::Encoder;
 use tpe_sim::array::{DenseArray, SystolicArray};
 use tpe_sim::BitsliceConfig;
@@ -122,34 +124,26 @@ impl Default for SerialSampleCaps {
 /// process-wide on the encoder's stable name — memoization can never
 /// change values, only skip recomputation.
 fn digit_count_weights(encoder: &dyn Encoder, a_bits: u32) -> (Vec<f64>, f64) {
-    use std::collections::HashMap;
-    use std::sync::{OnceLock, RwLock};
-    type WeightMemo = RwLock<HashMap<(&'static str, u32), (Vec<f64>, f64)>>;
-    static MEMO: OnceLock<WeightMemo> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| RwLock::new(HashMap::new()));
-    let key = (encoder.name(), a_bits);
-    if let Some(hit) = memo.read().expect("weights memo poisoned").get(&key) {
-        return hit.clone();
-    }
-
-    let max = (1i64 << (a_bits - 1)) - 1;
-    // The INT8 pipeline's effective scale: 127 / (max|z| ≈ 4.2σ) = 30, so
-    // σ = max · 30 / 127 (exactly 30.0 at the default 8-bit width).
-    let sigma_int = max as f64 * 30.0 / 127.0;
-    let max_digits = a_bits as usize;
-    let mut probs = vec![0f64; max_digits + 1];
-    let mut total = 0f64;
-    for v in -max..=max {
-        let w = (-0.5 * (v as f64 / sigma_int).powi(2)).exp();
-        let n = encoder.num_pps(v, a_bits).min(max_digits);
-        probs[n] += w;
-        total += w;
-    }
-    memo.write()
-        .expect("weights memo poisoned")
-        .entry(key)
-        .or_insert((probs, total))
-        .clone()
+    type Weights = (Vec<f64>, f64);
+    static MEMO: OnceLock<Memo<(&'static str, u32), Weights>> = OnceLock::new();
+    MEMO.get_or_init(Memo::new)
+        .get_or_insert_with((encoder.name(), a_bits), || {
+            let max = (1i64 << (a_bits - 1)) - 1;
+            // The INT8 pipeline's effective scale: 127 / (max|z| ≈ 4.2σ) =
+            // 30, so σ = max · 30 / 127 (exactly 30.0 at the default 8-bit
+            // width).
+            let sigma_int = max as f64 * 30.0 / 127.0;
+            let max_digits = a_bits as usize;
+            let mut probs = vec![0f64; max_digits + 1];
+            let mut total = 0f64;
+            for v in -max..=max {
+                let w = (-0.5 * (v as f64 / sigma_int).powi(2)).exp();
+                let n = encoder.num_pps(v, a_bits).min(max_digits);
+                probs[n] += w;
+                total += w;
+            }
+            (probs, total)
+        })
 }
 
 /// Per-operand digit-count distribution of `encoder`-encoded,
@@ -400,42 +394,34 @@ fn expected_max_of_iid(pmf: &[f64], mp: usize) -> f64 {
 /// `Φ` incrementally (std has no `erf`). Memoized per `mp`: the constant
 /// depends only on the column count, not on encoder, width, or layer.
 fn std_normal_max_mean(mp: usize) -> f64 {
-    use std::collections::HashMap;
-    use std::sync::{OnceLock, RwLock};
     if mp <= 1 {
         return 0.0;
     }
-    static MEMO: OnceLock<RwLock<HashMap<usize, f64>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| RwLock::new(HashMap::new()));
-    if let Some(&hit) = memo.read().expect("normal-max memo poisoned").get(&mp) {
-        return hit;
-    }
-
-    const Z: f64 = 8.0;
-    const STEPS: usize = 4_000;
-    let h = 2.0 * Z / STEPS as f64;
-    let phi = |z: f64| (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
-    let m = mp as f64;
-    let mut z = -Z;
-    let mut pdf = phi(z);
-    let mut cdf = 0.0; // Φ(−8) ≈ 6e−16: below the integration error
-    let mut integrand = 0.0; // z·m·φ(z)·Φ^{m−1}, zero at the left edge
-    let mut acc = 0.0;
-    for _ in 0..STEPS {
-        let z2 = z + h;
-        let pdf2 = phi(z2);
-        let cdf2 = (cdf + 0.5 * h * (pdf + pdf2)).min(1.0);
-        let integrand2 = z2 * m * pdf2 * cdf2.powi(mp as i32 - 1);
-        acc += 0.5 * h * (integrand + integrand2);
-        z = z2;
-        pdf = pdf2;
-        cdf = cdf2;
-        integrand = integrand2;
-    }
-    memo.write()
-        .expect("normal-max memo poisoned")
-        .insert(mp, acc);
-    acc
+    static MEMO: OnceLock<Memo<usize, f64>> = OnceLock::new();
+    MEMO.get_or_init(Memo::new).get_or_insert_with(mp, || {
+        const Z: f64 = 8.0;
+        const STEPS: usize = 4_000;
+        let h = 2.0 * Z / STEPS as f64;
+        let phi = |z: f64| (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
+        let m = mp as f64;
+        let mut z = -Z;
+        let mut pdf = phi(z);
+        let mut cdf = 0.0; // Φ(−8) ≈ 6e−16: below the integration error
+        let mut integrand = 0.0; // z·m·φ(z)·Φ^{m−1}, zero at the left edge
+        let mut acc = 0.0;
+        for _ in 0..STEPS {
+            let z2 = z + h;
+            let pdf2 = phi(z2);
+            let cdf2 = (cdf + 0.5 * h * (pdf + pdf2)).min(1.0);
+            let integrand2 = z2 * m * pdf2 * cdf2.powi(mp as i32 - 1);
+            acc += 0.5 * h * (integrand + integrand2);
+            z = z2;
+            pdf = pdf2;
+            cdf = cdf2;
+            integrand = integrand2;
+        }
+        acc
+    })
 }
 
 /// `(per-operand mean, E[round max])` for one sync round: the expected
@@ -451,32 +437,24 @@ fn expected_round_stats(
     ops_per_round: usize,
     mp: usize,
 ) -> (f64, f64) {
-    use std::collections::HashMap;
-    use std::sync::{OnceLock, RwLock};
-    type RoundMemo = RwLock<HashMap<(&'static str, u32, usize, usize), (f64, f64)>>;
-    static MEMO: OnceLock<RoundMemo> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| RwLock::new(HashMap::new()));
+    type RoundKey = (&'static str, u32, usize, usize);
+    static MEMO: OnceLock<Memo<RoundKey, (f64, f64)>> = OnceLock::new();
     let key = (encoder.name(), a_bits, ops_per_round, mp);
-    if let Some(&hit) = memo.read().expect("round memo poisoned").get(&key) {
-        return hit;
-    }
-
-    let pmf = digit_count_pmf(encoder, a_bits);
-    let (mean, var) = pmf_moments(&pmf);
-    let n = ops_per_round as f64;
-    let round_max = if var <= 0.0 {
-        // Point mass: every column finishes in exactly n·mean.
-        n * mean
-    } else if ops_per_round <= CONV_CROSSOVER_OPERANDS {
-        let sum_pmf = convolve_digit_sum(&pmf, ops_per_round);
-        expected_max_of_iid(&sum_pmf, mp)
-    } else {
-        n * mean + (n * var).sqrt() * std_normal_max_mean(mp)
-    };
-    memo.write()
-        .expect("round memo poisoned")
-        .insert(key, (mean, round_max));
-    (mean, round_max)
+    MEMO.get_or_init(Memo::new).get_or_insert_with(key, || {
+        let pmf = digit_count_pmf(encoder, a_bits);
+        let (mean, var) = pmf_moments(&pmf);
+        let n = ops_per_round as f64;
+        let round_max = if var <= 0.0 {
+            // Point mass: every column finishes in exactly n·mean.
+            n * mean
+        } else if ops_per_round <= CONV_CROSSOVER_OPERANDS {
+            let sum_pmf = convolve_digit_sum(&pmf, ops_per_round);
+            expected_max_of_iid(&sum_pmf, mp)
+        } else {
+            n * mean + (n * var).sqrt() * std_normal_max_mean(mp)
+        };
+        (mean, round_max)
+    })
 }
 
 /// Closed-form counterpart of [`sample_serial_cycles`]: the same layer

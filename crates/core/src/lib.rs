@@ -24,10 +24,13 @@
 //! * [`baselines`] — the published bit-slice accelerators the paper
 //!   compares against (Laconic, Bitlet, Sibia, Bitwave, HUAA), normalized
 //!   to 28 nm exactly as the paper does.
+//! * [`memo`] — the sharded concurrent memo table every memoized pure
+//!   computation in the workspace shares.
 
 pub mod analytic;
 pub mod arch;
 pub mod baselines;
+pub mod memo;
 pub mod notation;
 
 pub use arch::{ArchKind, ArchModel};

@@ -322,17 +322,17 @@ pub fn model_json(runs: &[tpe_pipeline::ModelRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate;
+    use crate::eval::evaluate_with_model;
     use crate::pareto::pareto_front;
     use crate::space::DesignSpace;
-    use tpe_engine::EngineCache;
+    use tpe_engine::{CycleModel, EngineCache};
 
     fn sample() -> (Vec<PointResult>, Vec<usize>) {
         let cache = EngineCache::new();
         let results: Vec<PointResult> = DesignSpace::quick()
             .enumerate()
             .iter()
-            .map(|p| evaluate(p, &cache, 2))
+            .map(|p| evaluate_with_model(p, &cache, 2, CycleModel::Sampled))
             .collect();
         let front = pareto_front(&results, &Objective::DEFAULT);
         (results, front)
@@ -412,7 +412,10 @@ mod tests {
         let cache = EngineCache::new();
         let space = DesignSpace::with_models("resnet18").unwrap();
         let points = space.enumerate_filtered("OPT1(TPU)/28nm@1.50");
-        let results: Vec<PointResult> = points.iter().map(|p| evaluate(p, &cache, 2)).collect();
+        let results: Vec<PointResult> = points
+            .iter()
+            .map(|p| evaluate_with_model(p, &cache, 2, CycleModel::Sampled))
+            .collect();
         let csv = to_csv(&results, &[]);
         let row = csv.lines().nth(1).unwrap();
         assert!(row.contains(",model,"), "kind column: {row}");
@@ -425,7 +428,10 @@ mod tests {
     fn infeasible_rows_have_empty_metric_cells() {
         let cache = EngineCache::new();
         let points = DesignSpace::paper_default().enumerate_filtered("MAC(TPU)/28nm@2.00");
-        let results: Vec<PointResult> = points.iter().map(|p| evaluate(p, &cache, 2)).collect();
+        let results: Vec<PointResult> = points
+            .iter()
+            .map(|p| evaluate_with_model(p, &cache, 2, CycleModel::Sampled))
+            .collect();
         assert!(results.iter().all(|r| !r.feasible()));
         let csv = to_csv(&results, &[]);
         for line in csv.lines().skip(1) {

@@ -37,19 +37,14 @@ impl PointResult {
     }
 }
 
-/// Evaluates one design point through `cache`. Synthesis and serial
-/// sampling are memoized; the workload model draws from an RNG seeded by
+/// Evaluates one design point through `cache` under the `cycle_model`
+/// serial-cycle backend (the sweep executor's and serve slice ops' hook
+/// for `--cycle-model` / `cycle_model` requests). Synthesis and serial
+/// cycles are memoized; the workload model draws from an RNG seeded by
 /// `seed ^ label_hash(point.label())`, so results do not depend on
-/// evaluation order.
-pub fn evaluate(point: &DesignPoint, cache: &EngineCache, seed: u64) -> PointResult {
-    evaluate_with_model(point, cache, seed, CycleModel::Sampled)
-}
-
-/// [`evaluate`] under an explicit serial-cycle backend — the hook the
-/// sweep executor and serve slice ops use to honor `--cycle-model` /
-/// `cycle_model` requests. The analytic backend ignores the seed for
-/// serial cycle statistics (they are closed-form), but the seed still
-/// flows so dense paths and labels stay byte-identical across modes.
+/// evaluation order. The analytic backend ignores the seed for serial
+/// cycle statistics (they are closed-form), but the seed still flows so
+/// dense paths and labels stay byte-identical across modes.
 ///
 /// Whole-network points ([`SweepWorkload::Model`](tpe_engine::SweepWorkload))
 /// resolve through the engine cache's model map: a repeated point is one
@@ -80,7 +75,7 @@ mod tests {
         let cache = EngineCache::new();
         let points = DesignSpace::paper_default().enumerate_filtered(filter);
         assert!(!points.is_empty(), "no points match {filter}");
-        evaluate(&points[0], &cache, 42)
+        evaluate_with_model(&points[0], &cache, 42, CycleModel::Sampled)
     }
 
     #[test]
@@ -120,7 +115,9 @@ mod tests {
             "OPT4E[EN-T]/16nm@1.50",
         ] {
             let point = &space.enumerate_filtered(filter)[0];
-            let metrics = evaluate(point, &cache, 1).metrics.unwrap();
+            let metrics = evaluate_with_model(point, &cache, 1, CycleModel::Sampled)
+                .metrics
+                .unwrap();
             let price = Evaluator::new(&cache).price(&point.engine).unwrap();
             assert_eq!(
                 metrics.area_um2.to_bits(),
@@ -144,7 +141,7 @@ mod tests {
             DesignSpace::paper_default().enumerate_filtered("OPT4C[EN-T]/28nm@2.00,precision=w8");
         assert!(points.len() >= 2, "need several workloads");
         for p in &points {
-            evaluate(p, &cache, 3);
+            evaluate_with_model(p, &cache, 3, CycleModel::Sampled);
         }
         let stats = cache.stats();
         assert_eq!(stats.price_misses, 1);

@@ -65,7 +65,7 @@ pub mod shard;
 pub mod space;
 pub mod sweep;
 
-pub use eval::{evaluate, evaluate_with_model, Metrics, PointResult};
+pub use eval::{evaluate_with_model, Metrics, PointResult};
 pub use pareto::{pareto_front, pareto_front_per_workload, Objective};
 pub use serve_ops::DseOps;
 pub use shard::{merge_shard_responses, ShardSpec};

@@ -303,7 +303,9 @@ mod tests {
         let results: Vec<PointResult> = DesignSpace::quick()
             .enumerate()
             .iter()
-            .map(|p| crate::eval::evaluate(p, &cache, 5))
+            .map(|p| {
+                crate::eval::evaluate_with_model(p, &cache, 5, tpe_engine::CycleModel::Sampled)
+            })
             .collect();
         let front = pareto_front(&results, &Objective::DEFAULT);
         assert!(!front.is_empty());

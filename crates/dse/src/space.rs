@@ -149,14 +149,15 @@ impl DesignSpace {
     }
 
     /// The paper-default axes with the workload axis replaced by whole
-    /// networks whose name contains `filter` (case-insensitive; empty
-    /// keeps the full catalog — the ten models of Figures 12–13 plus the
-    /// mixed-precision presets). Errors when nothing matches.
+    /// networks whose name contains `filter`
+    /// ([`NetworkModel::name_contains`](tpe_workloads::NetworkModel::name_contains):
+    /// case and punctuation are ignored; empty keeps the full catalog —
+    /// the ten models of Figures 12–13 plus the mixed-precision presets).
+    /// Errors when nothing matches.
     pub fn with_models(filter: &str) -> Result<Self, String> {
-        let needle = filter.to_ascii_lowercase();
         let nets: Vec<SweepWorkload> = tpe_workloads::NetworkModel::catalog()
             .into_iter()
-            .filter(|n| needle.is_empty() || n.name.to_ascii_lowercase().contains(&needle))
+            .filter(|n| n.name_contains(filter))
             .map(SweepWorkload::Model)
             .collect();
         if nets.is_empty() {
@@ -547,6 +548,17 @@ mod tests {
         let all = DesignSpace::with_models("").unwrap();
         assert_eq!(all.workloads.len(), models::NetworkModel::catalog().len());
         assert!(DesignSpace::with_models("no-such-net").is_err());
+        // Selectors ignore case and punctuation: `gpt2` is the catalog's
+        // GPT-2, and `resnet18` still picks ResNet18 and ResNet18-W4.
+        for (selector, names) in [
+            ("gpt2", vec!["GPT-2"]),
+            ("GPT-2", vec!["GPT-2"]),
+            ("resnet18", vec!["ResNet18", "ResNet18-W4"]),
+        ] {
+            let space = DesignSpace::with_models(selector).unwrap();
+            let got: Vec<&str> = space.workloads.iter().map(|w| w.name()).collect();
+            assert_eq!(got, names, "{selector}");
+        }
     }
 
     #[test]

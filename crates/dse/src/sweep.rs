@@ -1,14 +1,10 @@
 //! The parallel sweep executor.
 //!
-//! A sweep evaluates every design point of an enumerated space. Points
-//! are claimed from a shared atomic cursor by scoped worker threads
-//! (work-stealing in the only sense that matters for this workload:
-//! whichever worker is free takes the next point, so heterogeneous point
-//! costs balance automatically). Each worker accumulates `(index, result)`
-//! pairs locally; the results are merged and sorted by index at the end,
-//! and every point's RNG is seeded from the sweep seed and the point's
-//! own label — so the output is **byte-identical across runs and thread
-//! counts**, which the determinism tests pin.
+//! A sweep evaluates every design point of an enumerated space on
+//! [`tpe_engine::par_map_ordered`]'s workers. Every point's RNG is seeded
+//! from the sweep seed and the point's own label, so the output is
+//! **byte-identical across runs and thread counts**, which the
+//! determinism tests pin.
 //!
 //! Synthesis, serial sampling and whole-model reports memoize into the
 //! [`EngineCache`] that [`sweep_with_cache`] is given: the process-wide
@@ -18,10 +14,9 @@
 //! re-sweep (or a later `repro models` grid over the same cells) answers
 //! each repeated point with one lookup instead of an O(layers) rewalk.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use tpe_engine::{CacheStats, CycleModel, EngineCache};
+use tpe_engine::{effective_threads, par_map_ordered, CacheStats, CycleModel, EngineCache};
 
 use crate::eval::{evaluate_with_model, PointResult};
 use crate::space::DesignPoint;
@@ -43,17 +38,6 @@ impl Default for SweepConfig {
             threads: 0,
             seed: 42,
             cycle_model: CycleModel::Sampled,
-        }
-    }
-}
-
-impl SweepConfig {
-    /// The effective worker count.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
         }
     }
 }
@@ -86,61 +70,16 @@ pub fn sweep_with_cache(
     config: SweepConfig,
     cache: &EngineCache,
 ) -> SweepOutcome {
-    let threads = config.effective_threads().min(points.len()).max(1);
+    let threads = effective_threads(config.threads).min(points.len()).max(1);
     let baseline = cache.stats();
     let start = Instant::now();
 
-    let mut results: Vec<Option<PointResult>> = vec![None; points.len()];
-    if threads == 1 {
-        for (slot, point) in results.iter_mut().zip(points) {
-            *slot = Some(evaluate_with_model(
-                point,
-                cache,
-                config.seed,
-                config.cycle_model,
-            ));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let mut collected: Vec<Vec<(usize, PointResult)>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= points.len() {
-                                break;
-                            }
-                            local.push((
-                                i,
-                                evaluate_with_model(
-                                    &points[i],
-                                    cache,
-                                    config.seed,
-                                    config.cycle_model,
-                                ),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("sweep worker panicked"))
-                .collect()
-        });
-        for (i, result) in collected.drain(..).flatten() {
-            results[i] = Some(result);
-        }
-    }
+    let results = par_map_ordered(points, threads, |point| {
+        evaluate_with_model(point, cache, config.seed, config.cycle_model)
+    });
 
     SweepOutcome {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every point evaluated exactly once"))
-            .collect(),
+        results,
         cache: cache.stats().since(&baseline),
         elapsed: start.elapsed(),
         threads,

@@ -19,10 +19,10 @@
 //!    model point collapses to one lookup instead of an O(layers)
 //!    rewalk.
 //!
-//! All maps are sharded: each shard is an independent
-//! [`RwLock`]`<HashMap>` selected by key hash, so concurrent sweep workers
-//! and serve connections contend only when they touch the same shard, and
-//! reads (the overwhelming majority once warm) take a shared lock. A
+//! Each map is one [`Memo`] (lock-sharded hash maps, compute outside
+//! every lock, first insert wins), so concurrent sweep workers and serve
+//! connections contend only when they touch the same shard, and warm reads
+//! take a shared lock. This type adds only the counting policy on top. A
 //! single process-wide instance ([`EngineCache::global`]) replaces the
 //! old per-sweep `EvalCache`: a `repro models` grid reuses synthesis the
 //! preceding `repro dse` sweep already paid for, and a long-running
@@ -38,13 +38,13 @@
 //! so caching can never change results — the byte-identical golden tests
 //! in `tpe-bench` pin this.
 
-use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
 use tpe_core::arch::{ArchKind, PeStyle};
+use tpe_core::memo::Memo;
 use tpe_obs::{Counter, Registry};
 use tpe_sim::array::ClassicArch;
 use tpe_workloads::{LayerShape, NetworkModel};
@@ -53,11 +53,6 @@ use crate::caps::{CycleModel, SerialSampleCaps};
 use crate::eval::EvalObs;
 use crate::report::{LayerReport, ModelReport};
 use crate::spec::{Bound, EnginePrice, EngineSpec};
-
-/// Number of independent lock shards per map. 16 keeps the footprint
-/// trivial while making same-shard contention unlikely at realistic
-/// worker counts.
-const SHARDS: usize = 16;
 
 /// The cost-relevant subset of an engine: everything synthesis sees.
 ///
@@ -597,6 +592,23 @@ impl MapCounters {
             lookups: counter("lookups"),
         }
     }
+
+    /// One counted lookup in `memo`: a lookup, then exactly one hit or
+    /// miss, with `compute` running (outside every lock) on a miss.
+    fn lookup<K: Hash + Eq, V: Clone>(
+        &self,
+        memo: &Memo<K, V>,
+        key: K,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        self.lookups.inc();
+        if let Some(value) = memo.get(&key) {
+            self.hits.inc();
+            return value;
+        }
+        self.misses.inc();
+        memo.insert(key, compute())
+    }
 }
 
 /// Sharded concurrent memoization of pricing and cycle outcomes, and the
@@ -607,10 +619,10 @@ impl MapCounters {
 /// timing, so infeasibility is cached too.
 #[derive(Debug)]
 pub struct EngineCache {
-    records: [RwLock<HashMap<PeKey, Option<PeRecord>>>; SHARDS],
-    prices: [RwLock<HashMap<PriceKey, Option<EnginePrice>>>; SHARDS],
-    cycles: [RwLock<HashMap<CycleKey, SerialLayerRecord>>; SHARDS],
-    models: [RwLock<HashMap<ModelKey, ModelRecord>>; SHARDS],
+    records: Memo<PeKey, Option<PeRecord>>,
+    prices: Memo<PriceKey, Option<EnginePrice>>,
+    cycles: Memo<CycleKey, SerialLayerRecord>,
+    models: Memo<ModelKey, ModelRecord>,
     registry: Registry,
     price: MapCounters,
     cycle: MapCounters,
@@ -628,10 +640,10 @@ impl Default for EngineCache {
     fn default() -> Self {
         let registry = Registry::new();
         Self {
-            records: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            prices: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            cycles: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            models: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            records: Memo::new(),
+            prices: Memo::new(),
+            cycles: Memo::new(),
+            models: Memo::new(),
             price: MapCounters::in_registry(&registry, "price"),
             cycle: MapCounters::in_registry(&registry, "cycle"),
             model: MapCounters::in_registry(&registry, "model"),
@@ -640,12 +652,6 @@ impl Default for EngineCache {
             last_window: Mutex::new(CacheStats::default()),
         }
     }
-}
-
-fn shard_of(key: &impl Hash) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARDS
 }
 
 impl EngineCache {
@@ -669,30 +675,14 @@ impl EngineCache {
         &self.registry
     }
 
-    /// Returns the pricing record for `key`, running `price` on a miss.
-    ///
-    /// The computation runs outside any lock; when two threads race on the
-    /// same cold key both may price, and the first insert wins — pricing
-    /// is deterministic, so the outcome is identical either way and
-    /// readers never block on synthesis.
+    /// Returns the pricing record for `key`, running `price` on a miss
+    /// (outside every lock; racing callers get the first stored value).
     pub fn pe_record(
         &self,
         key: PeKey,
         price: impl FnOnce() -> Option<PeRecord>,
     ) -> Option<PeRecord> {
-        let shard = &self.records[shard_of(&key)];
-        self.price.lookups.inc();
-        if let Some(rec) = shard.read().expect("cache poisoned").get(&key) {
-            self.price.hits.inc();
-            return *rec;
-        }
-        self.price.misses.inc();
-        let rec = price();
-        *shard
-            .write()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(rec)
+        self.price.lookup(&self.records, key, price)
     }
 
     /// Returns the assembled engine price for `key`, running `assemble` on
@@ -708,22 +698,16 @@ impl EngineCache {
         key: PriceKey,
         assemble: impl FnOnce() -> Option<EnginePrice>,
     ) -> Option<EnginePrice> {
-        let shard = &self.prices[shard_of(&key)];
-        if let Some(price) = shard.read().expect("cache poisoned").get(&key) {
+        if let Some(price) = self.prices.get(&key) {
             // A derived-layer hit is one accounted lookup; a miss counts
             // nothing here — `assemble` consults `pe_record`, which does
             // the lookup *and* hit/miss accounting, keeping the
             // hits+misses == lookups invariant exact.
             self.price.lookups.inc();
             self.price.hits.inc();
-            return *price;
+            return price;
         }
-        let price = assemble();
-        *shard
-            .write()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(price)
+        self.prices.insert(key, assemble())
     }
 
     /// Returns the serial-cycle record for `key`, running `sample` on a
@@ -733,19 +717,7 @@ impl EngineCache {
         key: CycleKey,
         sample: impl FnOnce() -> SerialLayerRecord,
     ) -> SerialLayerRecord {
-        let shard = &self.cycles[shard_of(&key)];
-        self.cycle.lookups.inc();
-        if let Some(rec) = shard.read().expect("cache poisoned").get(&key) {
-            self.cycle.hits.inc();
-            return *rec;
-        }
-        self.cycle.misses.inc();
-        let rec = sample();
-        *shard
-            .write()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(rec)
+        self.cycle.lookup(&self.cycles, key, sample)
     }
 
     /// Returns the whole-model record for `key`, running `assemble` (the
@@ -762,20 +734,7 @@ impl EngineCache {
         key: ModelKey,
         assemble: impl FnOnce() -> ModelRecord,
     ) -> ModelRecord {
-        let shard = &self.models[shard_of(&key)];
-        self.model.lookups.inc();
-        if let Some(rec) = shard.read().expect("cache poisoned").get(&key) {
-            self.model.hits.inc();
-            return rec.clone();
-        }
-        self.model.misses.inc();
-        let rec = assemble();
-        shard
-            .write()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(rec)
-            .clone()
+        self.model.lookup(&self.models, key, assemble)
     }
 
     /// Counters at this instant (read from the registry's
@@ -811,25 +770,12 @@ impl EngineCache {
     /// *values* are exported — hit/miss counters describe this process's
     /// history, not the cache contents, so they stay behind.
     pub fn export(&self) -> CacheContents {
-        let mut out = CacheContents::default();
-        for shard in &self.records {
-            let map = shard.read().expect("cache poisoned");
-            out.records.extend(map.iter().map(|(k, v)| (*k, *v)));
+        CacheContents {
+            records: self.records.entries(),
+            prices: self.prices.entries(),
+            cycles: self.cycles.entries(),
+            models: self.models.entries(),
         }
-        for shard in &self.prices {
-            let map = shard.read().expect("cache poisoned");
-            out.prices.extend(map.iter().map(|(k, v)| (*k, *v)));
-        }
-        for shard in &self.cycles {
-            let map = shard.read().expect("cache poisoned");
-            out.cycles.extend(map.iter().map(|(k, v)| (*k, *v)));
-        }
-        for shard in &self.models {
-            let map = shard.read().expect("cache poisoned");
-            out.models
-                .extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        out
     }
 
     /// Bulk-inserts exported entries (a warm-start import). First insert
@@ -839,67 +785,31 @@ impl EngineCache {
     /// as *hits* on their first lookup, which is what makes a
     /// warm-from-snapshot replay read ≈100% hit rate.
     pub fn import(&self, contents: CacheContents) {
-        for (key, rec) in contents.records {
-            self.records[shard_of(&key)]
-                .write()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(rec);
-        }
-        for (key, price) in contents.prices {
-            self.prices[shard_of(&key)]
-                .write()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(price);
-        }
-        for (key, rec) in contents.cycles {
-            self.cycles[shard_of(&key)]
-                .write()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(rec);
-        }
-        for (key, rec) in contents.models {
-            self.models[shard_of(&key)]
-                .write()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(rec);
-        }
+        self.records.extend(contents.records);
+        self.prices.extend(contents.prices);
+        self.cycles.extend(contents.cycles);
+        self.models.extend(contents.models);
     }
 
     /// Number of distinct PE/corner pairs priced.
     pub fn priced_len(&self) -> usize {
-        self.records
-            .iter()
-            .map(|s| s.read().expect("cache poisoned").len())
-            .sum()
+        self.records.len()
     }
 
     /// Number of distinct assembled engine prices memoized (the derived
     /// map over the synthesis records).
     pub fn prices_len(&self) -> usize {
-        self.prices
-            .iter()
-            .map(|s| s.read().expect("cache poisoned").len())
-            .sum()
+        self.prices.len()
     }
 
     /// Number of distinct serial-cycle evaluations memoized.
     pub fn cycles_len(&self) -> usize {
-        self.cycles
-            .iter()
-            .map(|s| s.read().expect("cache poisoned").len())
-            .sum()
+        self.cycles.len()
     }
 
     /// Number of distinct whole-model reports memoized.
     pub fn models_len(&self) -> usize {
-        self.models
-            .iter()
-            .map(|s| s.read().expect("cache poisoned").len())
-            .sum()
+        self.models.len()
     }
 
     /// Total entries across all four maps (what a snapshot would carry).

@@ -134,7 +134,7 @@ pub struct Metrics {
 
 /// The canonical evaluation stack, bound to a cache instance.
 ///
-/// Most callers want [`Evaluator::global`]; isolated instances exist for
+/// Most callers bind [`EngineCache::global`]; isolated caches exist for
 /// exact-count cache tests and honest cold-timing measurements.
 #[derive(Debug, Clone, Copy)]
 pub struct Evaluator<'c> {
@@ -149,12 +149,6 @@ impl<'c> Evaluator<'c> {
             cache,
             cycle_model: CycleModel::Sampled,
         }
-    }
-
-    /// The evaluator over the process-wide global cache (sampled cycle
-    /// model).
-    pub fn global() -> Evaluator<'static> {
-        Evaluator::new(EngineCache::global())
     }
 
     /// The same evaluator with the serial-cycle backend switched. The
@@ -847,6 +841,22 @@ mod tests {
         assert_eq!(m_free.bound, Bound::Compute);
         assert_ne!(m_bound.bound, Bound::Compute);
         assert!(m_bound.delay_us > m_free.delay_us);
+
+        // GPT-2 decode on the paper's OPT4E[EN-T] engine under the
+        // analytic cycle model: DRAM-bound at `edge`, compute-bound at
+        // `hbm`.
+        let analytic = eval.with_cycle_model(CycleModel::Analytic);
+        let opt4e = crate::roster::find("OPT4E[EN-T]/28nm@2.00GHz").unwrap();
+        let gpt2 = SweepWorkload::Model(models::gpt2());
+        for (memory, want) in [
+            (MemorySpec::edge(), Bound::Dram),
+            (MemorySpec::hbm(), Bound::Compute),
+        ] {
+            let m = analytic
+                .metrics(&opt4e.clone().with_memory(memory), &gpt2, 42)
+                .unwrap();
+            assert_eq!(m.bound, want, "GPT-2 decode at {}", memory.name);
+        }
     }
 
     /// An `edge`-corner model report stays internally consistent: layer

@@ -36,7 +36,7 @@
 //!   serial-sampling budget the workspace uses.
 //! * [`cache`] — [`EngineCache`]: the concurrent memo cache and owner of
 //!   the metrics registry every evaluation through it records into;
-//!   sharded `RwLock` maps keyed on [`cache::PeKey`] (synthesis),
+//!   one `tpe_core::memo::Memo` per map, keyed on [`cache::PeKey`] (synthesis),
 //!   [`cache::CycleKey`] (sampled workload cycles) and [`ModelKey`]
 //!   (whole-model reports, so repeated `model` queries are one lookup).
 //! * [`snapshot`] — versioned binary persistence of the cache's four
@@ -45,6 +45,8 @@
 //! * [`eval`] — [`Evaluator`]: one (engine, workload, seed) →
 //!   [`eval::Metrics`] / [`report::ModelReport`], bit-identical no matter
 //!   which consumer asks.
+//! * [`par`] — [`par_map_ordered`], the order-preserving parallel map
+//!   behind the dse sweep and the model grid.
 //! * [`schedule`] / [`report`] — layer tiling onto array geometries and
 //!   the per-layer/end-to-end report schema.
 //! * [`serve`] — the `repro serve` protocol: a std-only TCP/NDJSON batch
@@ -56,21 +58,23 @@
 //! ## Quickstart
 //!
 //! ```
-//! use tpe_engine::{Evaluator, SweepWorkload};
+//! use tpe_engine::{EngineCache, Evaluator, SweepWorkload};
 //! use tpe_workloads::LayerShape;
 //!
 //! let engine = tpe_engine::roster::find("OPT4E[EN-T]/28nm@2.00GHz").unwrap();
 //! let workload = SweepWorkload::Layer(LayerShape::new("fc1", 1, 3072, 768, 1));
-//! let metrics = Evaluator::global().metrics(&engine, &workload, 42).unwrap();
+//! let eval = Evaluator::new(EngineCache::global());
+//! let metrics = eval.metrics(&engine, &workload, 42).unwrap();
 //! assert!(metrics.throughput_gops > 0.0);
 //! // Same question, same answer — served from the global cache.
-//! let again = Evaluator::global().metrics(&engine, &workload, 42).unwrap();
+//! let again = eval.metrics(&engine, &workload, 42).unwrap();
 //! assert_eq!(metrics, again);
 //! ```
 
 pub mod cache;
 pub mod caps;
 pub mod eval;
+pub mod par;
 pub mod report;
 pub mod roster;
 pub mod schedule;
@@ -82,6 +86,7 @@ pub mod workload;
 pub use cache::{CacheContents, CacheStats, EngineCache, ModelKey, ModelRecord};
 pub use caps::{CycleModel, SampleProfile, SerialSampleCaps};
 pub use eval::{Evaluator, Metrics};
+pub use par::{effective_threads, par_map_ordered};
 pub use report::{LayerReport, ModelReport};
 pub use schedule::{
     dense_model_cycles, dense_tiles, evaluate_model_with, schedule_layer_with, serial_model_cycles,

@@ -654,7 +654,7 @@ fn respond(
             let seed = fields.uint_or("seed", DEFAULT_SEED)?;
             let net = NetworkModel::catalog()
                 .into_iter()
-                .find(|n| n.name.eq_ignore_ascii_case(model_name))
+                .find(|n| n.is_named(model_name))
                 .ok_or_else(|| format!("unknown model `{model_name}`"))?;
             let body = match eval.model_report(&spec, &net, seed, crate::MODEL_SAMPLE_CAPS) {
                 Some(r) => {
@@ -985,17 +985,6 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// The effective pool size.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
-}
-
 /// What one [`serve_with`] run handled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeOutcome {
@@ -1036,7 +1025,7 @@ pub fn serve_with(
     let obs = &ServeObs::in_registry(cache.registry());
     let local = listener.local_addr()?;
     let handled = AtomicU64::new(0);
-    let workers = config.effective_threads();
+    let workers = crate::effective_threads(config.threads);
     let shutdown = AtomicBool::new(false);
     let connections = AtomicU64::new(0);
     let requests = AtomicU64::new(0);
@@ -1349,7 +1338,8 @@ fn points_follow(line: &str) -> usize {
 /// # Errors
 ///
 /// Besides transport errors, returns [`std::io::ErrorKind::UnexpectedEof`]
-/// when the server closes the connection before answering every request —
+/// when the server closes or resets the connection before answering every
+/// request —
 /// the error names the expected and received line counts, so pipelined
 /// clients can tell a short batch from a complete one.
 pub fn query_batch(addr: &str, lines: &[String]) -> std::io::Result<Vec<String>> {
@@ -1369,7 +1359,14 @@ pub fn query_batch(addr: &str, lines: &[String]) -> std::io::Result<Vec<String>>
         let reader = BufReader::new(&stream);
         let mut responses = Vec::with_capacity(expected);
         for line in reader.lines() {
-            let line = line?;
+            let line = match line {
+                Ok(line) => line,
+                // A server that closes with request bytes still unread
+                // resets the connection instead of closing it cleanly:
+                // it died mid-batch either way.
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+                Err(e) => return Err(e),
+            };
             expected += points_follow(&line);
             responses.push(line);
             if responses.len() >= expected {
@@ -1741,6 +1738,20 @@ mod tests {
         assert_eq!(hits + misses, lookups, "{stats}");
         assert_eq!((hits, misses), (1, 1), "{stats}");
         assert_eq!(num(&stats, "model_entries"), 1, "{stats}");
+
+        // Model names match on lowercase alphanumerics: `gpt2` is GPT-2.
+        let gpt = |name: &str| {
+            ask(
+                &format!(
+                    r#"{{"id":3,"op":"model","engine":"OPT4E[EN-T]/28nm@2.00GHz","model":"{name}","cycle_model":"analytic"}}"#
+                ),
+                &cache,
+            )
+            .0
+        };
+        let typed = gpt("gpt2");
+        assert!(typed.contains("\"model\":\"GPT-2\""), "{typed}");
+        assert_eq!(typed, gpt("GPT-2"));
     }
 
     /// The stats op reports per-window `since_*` deltas over its own

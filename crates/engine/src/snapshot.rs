@@ -1027,4 +1027,121 @@ mod tests {
             );
         }
     }
+
+    /// A hand-built snapshot with one entry per map — including an
+    /// infeasible `None` price and a whole-model record — encodes to a
+    /// pinned byte stream. Version and layout hashes alone would miss a
+    /// reordered field; this pin does not.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let rec = crate::cache::PeRecord {
+            area_um2: 123.5,
+            active_power_uw: 45.25,
+            idle_power_uw: 0.75,
+            lanes: 4,
+        };
+        let contents = CacheContents {
+            records: vec![(
+                PeKey {
+                    style: PeStyle::Opt3,
+                    dense: None,
+                    in_pe_encoding: Some(EncodingKind::EnT),
+                    precision: Precision::W8,
+                    freq_mhz: 2000,
+                    node_dnm: 280,
+                },
+                Some(rec),
+            )],
+            prices: vec![(
+                PriceKey {
+                    style: PeStyle::TraditionalMac,
+                    dense: Some(ClassicArch::Tpu),
+                    encoding: EncodingKind::Mbe,
+                    precision: Precision::W4,
+                    freq_mhz: 2000,
+                    node_dnm: 280,
+                    sram_kib: 4096,
+                    sram_bw: 64,
+                    dram_bw: 8,
+                },
+                None,
+            )],
+            cycles: vec![(
+                CycleKey {
+                    style: PeStyle::Opt4E,
+                    encoding: EncodingKind::Csd,
+                    a_bits: 8,
+                    m: 32,
+                    n: 64,
+                    k: 128,
+                    repeats: 2,
+                    seed: 7,
+                    max_rounds: 64,
+                    max_operands: 4096,
+                    model: CycleModel::Sampled,
+                },
+                SerialLayerRecord {
+                    cycles: 1000.0,
+                    busy_sum: 30000.5,
+                    busy_min: 900.0,
+                    busy_max: 1000.0,
+                    rounds: 12.0,
+                    columns: 32,
+                },
+            )],
+            models: vec![(
+                ModelKey {
+                    style: PeStyle::Opt4E,
+                    dense: None,
+                    encoding: EncodingKind::EnT,
+                    precision: Precision::W8,
+                    freq_mhz: 2000,
+                    node_dnm: 280,
+                    model: "toy".to_string(),
+                    layers_hash: 0x0123_4567_89ab_cdef,
+                    seed: 0,
+                    max_rounds: 0,
+                    max_operands: 0,
+                    cycle_model: CycleModel::Analytic,
+                    sram_kib: 0,
+                    sram_bw: 0,
+                    dram_bw: 0,
+                },
+                ModelRecord {
+                    model: "toy".into(),
+                    layers: vec![LayerReport {
+                        name: "fc1".into(),
+                        macs: 64,
+                        tiles: 1.0,
+                        cycles: 10.0,
+                        delay_us: 0.005,
+                        utilization: 0.5,
+                        energy_uj: 0.25,
+                        bytes_moved: 192.0,
+                        intensity_ops_per_byte: 0.5,
+                        bound: Bound::Dram,
+                    }]
+                    .into(),
+                    total_macs: 64,
+                    cycles: 10.0,
+                    delay_us: 0.005,
+                    energy_uj: 0.25,
+                    utilization: 0.5,
+                    area_um2: 1.0e6,
+                    peak_tops: 2.0,
+                    bytes_moved: 192.0,
+                    intensity_ops_per_byte: 0.5,
+                    bound: Bound::Dram,
+                    busy_sum: 9.0,
+                },
+            )],
+        };
+        let bytes = encode(&contents);
+        assert_eq!(decode(&bytes).unwrap(), contents);
+        assert_eq!(
+            (bytes.len(), fnv1a_bytes(&bytes)),
+            (512, 0x3a08_f690_be1f_1836),
+            "snapshot byte layout drifted"
+        );
+    }
 }

@@ -331,7 +331,7 @@ impl EngineSpec {
     /// the clock (memoized on [`crate::cache::PeKey`]), node scaling,
     /// array support logic. `None` when the PE cannot close timing.
     pub fn price(&self) -> Option<EnginePrice> {
-        crate::eval::Evaluator::global().price(self)
+        crate::eval::Evaluator::new(crate::EngineCache::global()).price(self)
     }
 }
 

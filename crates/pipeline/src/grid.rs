@@ -1,22 +1,23 @@
 //! The deterministic parallel (model × engine) grid executor.
 //!
-//! Same discipline as `tpe-dse`'s sweep: cells are claimed from an atomic
-//! cursor by scoped worker threads, every cell's RNG is seeded from the
-//! grid seed and the cell's own `(engine, model)` label, and results merge
-//! back into input order — so the output is **byte-identical across runs
-//! and thread counts** (pinned by the determinism tests and asserted on
-//! every `repro models` run). Cells evaluate through
-//! [`tpe_engine::Evaluator`] against the process-wide cache, so engines
-//! are priced once per process and repeated (engine, model, seed) cells —
-//! across grid runs, dse sweeps and serve queries — are served from
-//! memory: one whole-model record lookup per warm cell
-//! ([`tpe_engine::ModelKey`]), not an O(layers) rewalk.
+//! Cells run on [`tpe_engine::par_map_ordered`]'s workers, the executor
+//! the dse sweep uses too: every cell's RNG is seeded from the grid seed
+//! and the cell's own `(engine, model)` label, and results come back in
+//! input order — so the output is **byte-identical across runs and thread
+//! counts** (pinned by the determinism tests and asserted on every
+//! `repro models` run). Cells evaluate through [`tpe_engine::Evaluator`]
+//! against the process-wide cache, so engines are priced once per process
+//! and repeated (engine, model, seed) cells — across grid runs, dse sweeps
+//! and serve queries — are served from memory: one whole-model record
+//! lookup per warm cell ([`tpe_engine::ModelKey`]), not an O(layers)
+//! rewalk.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use tpe_engine::caps::{SampleProfile, SerialSampleCaps};
-use tpe_engine::{EngineSpec, Evaluator, ModelReport};
+use tpe_engine::{
+    effective_threads, par_map_ordered, EngineCache, EngineSpec, Evaluator, ModelReport,
+};
 use tpe_workloads::NetworkModel;
 
 /// Grid parameters.
@@ -48,15 +49,6 @@ impl GridConfig {
             threads,
             seed,
             caps: SampleProfile::Quick.caps(),
-        }
-    }
-
-    /// The effective worker count.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
         }
     }
 }
@@ -107,59 +99,23 @@ pub fn run_grid(
     // The evaluator is authoritative about the cycle model: it stamps its
     // own mode onto the caps it evaluates with, so the grid must hand the
     // config's choice over instead of relying on the caps field alone.
-    let evaluator = Evaluator::global().with_cycle_model(config.caps.model);
+    let evaluator = Evaluator::new(EngineCache::global()).with_cycle_model(config.caps.model);
     let cells: Vec<(usize, usize)> = (0..models.len())
         .flat_map(|mi| (0..engines.len()).map(move |ei| (mi, ei)))
         .collect();
-    let threads = config.effective_threads().min(cells.len()).max(1);
+    let threads = effective_threads(config.threads).min(cells.len()).max(1);
 
-    let eval_cell = |&(mi, ei): &(usize, usize)| -> ModelRun {
+    let runs = par_map_ordered(&cells, threads, |&(mi, ei)| {
         let (model, engine) = (&models[mi], &engines[ei]);
         ModelRun {
             model: model.name.clone(),
             engine: engine.clone(),
             report: evaluator.model_report(engine, model, config.seed, config.caps),
         }
-    };
-
-    let mut runs: Vec<Option<ModelRun>> = vec![None; cells.len()];
-    if threads == 1 {
-        for (slot, cell) in runs.iter_mut().zip(&cells) {
-            *slot = Some(eval_cell(cell));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let mut collected: Vec<Vec<(usize, ModelRun)>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= cells.len() {
-                                break;
-                            }
-                            local.push((i, eval_cell(&cells[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("grid worker panicked"))
-                .collect()
-        });
-        for (i, run) in collected.drain(..).flatten() {
-            runs[i] = Some(run);
-        }
-    }
+    });
 
     GridOutcome {
-        runs: runs
-            .into_iter()
-            .map(|r| r.expect("every cell evaluated exactly once"))
-            .collect(),
+        runs,
         elapsed: start.elapsed(),
         threads,
     }

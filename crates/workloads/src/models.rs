@@ -119,6 +119,30 @@ impl NetworkModel {
         nets.push(resnet18_quantized());
         nets
     }
+
+    /// Whether `selector` names this network. Names and selectors compare
+    /// on their lowercase ASCII alphanumerics only, so `gpt2`, `GPT-2` and
+    /// `Gpt_2` all name GPT-2.
+    pub fn is_named(&self, selector: &str) -> bool {
+        name_key(&self.name).eq(name_key(selector))
+    }
+
+    /// Whether `selector` is part of this network's name, compared as in
+    /// [`Self::is_named`]. A selector with no alphanumerics picks every
+    /// network.
+    pub fn name_contains(&self, selector: &str) -> bool {
+        let needle: Vec<u8> = name_key(selector).collect();
+        let name: Vec<u8> = name_key(&self.name).collect();
+        needle.is_empty() || name.windows(needle.len()).any(|w| w == needle)
+    }
+}
+
+/// The bytes a network name is matched on: its ASCII alphanumerics,
+/// lowercased.
+fn name_key(s: &str) -> impl Iterator<Item = u8> + '_ {
+    s.bytes()
+        .filter(u8::is_ascii_alphanumeric)
+        .map(|b| b.to_ascii_lowercase())
 }
 
 fn conv(name: &str, in_c: usize, out_c: usize, out_hw: usize, k: usize) -> LayerShape {
