@@ -186,7 +186,7 @@ fn try_serve(args: &[String]) -> Result<String, String> {
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     println!(
         "repro serve listening on {addr} ({} worker(s), max line {} bytes; NDJSON; \
-         ops: engine|layer|metrics|model|roster|stats{}|shutdown; \
+         ops: engine|layer|metrics|model|roster{}|shutdown; \
          default cycle model {}{warm_note})",
         tpe_engine::effective_threads(config.threads),
         config.max_line_bytes,
@@ -657,16 +657,16 @@ struct SmokeMeasurement {
     /// `sweep`/`pareto` requests the fired batch contained (0 for
     /// batches too short to reach a slice-op index).
     slice_ops: usize,
-    /// Server-side per-request eval latency over the drive window, from
-    /// the `serve_eval_ns` histogram via the `metrics` op.
+    /// Server-side per-request eval latency over the drive, from the
+    /// `serve_eval_ns` histogram via the `metrics` op.
     server_latency: LatencySummary,
-    /// Point/slice op requests the server counted over the drive window
-    /// (must be exactly batch + replay = 2 × queries).
+    /// Point/slice op requests the server counted over the drive (must
+    /// be exactly batch + replay = 2 × queries).
     counted_ops: u64,
-    /// `serve_eval_ns` records over the window (the 2 × queries drive
-    /// plus the opening `metrics` poll itself).
+    /// `serve_eval_ns` records over the drive (the 2 × queries; the
+    /// closing `metrics` poll excludes itself).
     eval_records: u64,
-    /// `serve_queue_wait_ns` records over the window (same expectation).
+    /// `serve_queue_wait_ns` records over the drive (same expectation).
     queue_records: u64,
 }
 
@@ -801,17 +801,17 @@ fn try_serve_smoke(args: &[String]) -> Result<String, String> {
     .unwrap();
     let expected_ops = 2 * queries as u64;
     let accounting_ok = m.counted_ops == expected_ops
-        && m.eval_records == expected_ops + 1
-        && m.queue_records == expected_ops + 1;
+        && m.eval_records == expected_ops
+        && m.queue_records == expected_ops;
     writeln!(
         out,
         "server-side accounting: {} point/slice ops counted (expected {}), \
-         {} eval / {} queue-wait records (expected {} incl. the opening metrics poll) — {}",
+         {} eval / {} queue-wait records (expected {}) — {}",
         m.counted_ops,
         expected_ops,
         m.eval_records,
         m.queue_records,
-        expected_ops + 1,
+        expected_ops,
         if accounting_ok {
             "consistent"
         } else {
@@ -939,15 +939,13 @@ fn drive_smoke(
         .iter()
         .filter(|r| r.contains("\"op\":\"sweep\"") || r.contains("\"op\":\"pareto\""))
         .count();
-    // Opening metrics poll: the server snapshots *before* recording the
-    // poll itself, so this window base excludes it — the drive window
-    // then covers exactly (this poll) + batch + replay.
-    let obs_before = WireMetrics::fetch(addr)?;
-    let before = cache.stats();
+    // The server and its cache are fresh, so every counter starts at
+    // zero: the cache stats after the batch are the batch's own, and one
+    // closing `metrics` poll covers exactly batch + replay.
     let start = Instant::now();
     let batched = query_batch(addr, &batch).map_err(|e| format!("batch: {e}"))?;
     let elapsed = start.elapsed();
-    let delta = cache.stats().since(&before);
+    let delta = cache.stats();
 
     if batched.len() != batch.len() {
         return Err(format!(
@@ -976,33 +974,25 @@ fn drive_smoke(
         }
     }
 
-    // Closing poll: workers record each request before replying, so with
-    // every replay response read, the after-snapshot must already cover
-    // the full 2 × queries drive.
-    let obs_after = WireMetrics::fetch(addr)?;
+    // Closing poll: workers record each request before replying, and a
+    // snapshot excludes its own request, so with every replay response
+    // read it covers exactly the 2 × queries drive.
+    let obs = WireMetrics::fetch(addr)?;
     let counted_ops = ["engine", "layer", "model", "sweep", "pareto"]
         .iter()
-        .map(|op| {
-            let name = format!("serve_op_{op}");
-            obs_after.counter(&name) - obs_before.counter(&name)
-        })
+        .map(|op| obs.counter(&format!("serve_op_{op}")))
         .sum();
-    let eval_window = obs_after
-        .histogram("serve_eval_ns")?
-        .since(&obs_before.histogram("serve_eval_ns")?);
-    let queue_window = obs_after
-        .histogram("serve_queue_wait_ns")?
-        .since(&obs_before.histogram("serve_queue_wait_ns")?);
+    let eval = obs.histogram("serve_eval_ns")?;
     Ok(SmokeMeasurement {
         elapsed,
         delta,
         divergences,
         latency: LatencySummary::from_samples(samples),
         slice_ops,
-        server_latency: LatencySummary::from_ns_window(&eval_window),
+        server_latency: LatencySummary::from_ns_window(&eval),
         counted_ops,
-        eval_records: eval_window.count(),
-        queue_records: queue_window.count(),
+        eval_records: eval.count(),
+        queue_records: obs.histogram("serve_queue_wait_ns")?.count(),
     })
 }
 

@@ -38,7 +38,8 @@ use tpe_dse::emit::to_csv;
 use tpe_dse::{
     pareto_front_per_workload, sweep_with_cache, DseOps, Objective, SweepConfig, SweepOutcome,
 };
-use tpe_engine::serve::{json_escape, query_batch, serve_with, ServeConfig, SnapshotOps};
+use tpe_engine::render::json_escape;
+use tpe_engine::serve::{query_batch, serve_with, ServeConfig, SnapshotOps};
 use tpe_engine::{snapshot, EngineCache};
 
 /// Runs the warm-start smoke and renders the report.

@@ -7,11 +7,13 @@
 //! `repro models --out` at seed 42). Every future change to the canonical
 //! evaluator must either keep these bytes or consciously regenerate them.
 
-use tpe_dse::emit::{model_csv, to_csv};
+use tpe_dse::emit::{model_csv, model_json, to_csv, to_json};
 use tpe_dse::{
-    pareto_front_per_workload, sweep_with_cache, DesignSpace, EngineCache, Objective, SweepConfig,
+    evaluate_with_model, pareto_front_per_workload, sweep_with_cache, CycleModel, DesignSpace,
+    DseOps, EngineCache, Objective, SweepConfig,
 };
-use tpe_engine::{EngineSpec, Evaluator};
+use tpe_engine::serve::handle_request;
+use tpe_engine::{fnv1a, EngineSpec, Evaluator};
 use tpe_pipeline::{run_grid, GridConfig};
 use tpe_workloads::NetworkModel;
 
@@ -276,4 +278,79 @@ fn table7_roster_prices_are_bit_identical_to_snapshot() {
         assert_eq!(p.e_idle_fj.to_bits(), idle, "{label}: idle energy drifted");
         assert_eq!(p.peak_tops.to_bits(), peak, "{label}: peak TOPS drifted");
     }
+}
+
+/// Every served reply, byte for byte: `golden/serve_replies.ndjson` holds
+/// each request line followed by its reply lines, answered through
+/// `handle_request` with the `sweep`/`pareto`/`fleet` ops on one fresh
+/// cache. It covers feasible and infeasible `engine`/`layer`/`model`
+/// bodies on the unbounded and finite memory corners under both cycle
+/// models, `roster`, `fleet`, per-point `sweep`/`pareto` rows, and the
+/// resolver and envelope error lines.
+#[test]
+fn serve_replies_match_pinned_transcript() {
+    let expected = golden("serve_replies.ndjson");
+    let cache = EngineCache::new();
+    let mut transcript = String::with_capacity(expected.len());
+    for request in expected.lines().filter(|l| !is_reply(l)) {
+        transcript.push_str(request);
+        transcript.push('\n');
+        for reply in handle_request(request, &cache, &DseOps).0 {
+            transcript.push_str(&reply);
+            transcript.push('\n');
+        }
+    }
+    assert_lines_identical(&transcript, &expected, "serve replies");
+}
+
+/// Whether a transcript line is a reply: `{"id":N,"ok":…`.
+fn is_reply(line: &str) -> bool {
+    line.strip_prefix("{\"id\":")
+        .map(|rest| rest.trim_start_matches(|c: char| c.is_ascii_digit()))
+        .is_some_and(|rest| rest.starts_with(",\"ok\":"))
+}
+
+/// The `--json` documents of `repro dse` and `repro models`, pinned by
+/// FNV-1a over small fixed slices: the quick space on the unbounded and
+/// edge corners (analytic), and ResNet18 + GPT-2 on a feasible, a
+/// DRAM-bound and an infeasible engine.
+#[test]
+fn json_documents_are_pinned() {
+    let mut space = DesignSpace::quick();
+    space
+        .memories
+        .push(tpe_engine::roster::find_memory("edge").unwrap());
+    let cache = EngineCache::new();
+    let results: Vec<_> = space
+        .enumerate()
+        .iter()
+        .map(|p| evaluate_with_model(p, &cache, 42, CycleModel::Analytic))
+        .collect();
+    let front = pareto_front_per_workload(&results, &Objective::DEFAULT);
+    let dse = to_json(&results, &front, &Objective::DEFAULT);
+    assert_eq!(
+        (results.len(), fnv1a(&dse)),
+        (128, 0x67ca_d62a_0ebf_de8d),
+        "repro dse --json drifted"
+    );
+
+    let opt4e = tpe_engine::roster::find("OPT4E[EN-T]/28nm@2.00GHz").unwrap();
+    let engines = vec![
+        opt4e.clone(),
+        opt4e.with_memory(tpe_engine::roster::find_memory("edge").unwrap()),
+        tpe_engine::roster::find("MAC(TPU)/28nm@1.00GHz")
+            .unwrap()
+            .with_precision(tpe_engine::Precision::W16),
+    ];
+    let nets: Vec<NetworkModel> = NetworkModel::catalog()
+        .into_iter()
+        .filter(|n| n.is_named("resnet18") || n.is_named("gpt2"))
+        .collect();
+    let runs = run_grid(&nets, &engines, GridConfig::quick_test(1, 42)).runs;
+    let models = model_json(&runs);
+    assert_eq!(
+        (runs.len(), fnv1a(&models)),
+        (6, 0x6fc7_21a8_f9b3_91de),
+        "repro models --json drifted"
+    );
 }

@@ -5,12 +5,16 @@
 //! thread counts (pinned by the determinism tests). No serde: the
 //! environment vendors no serialization crates, and the schema is flat.
 
+use std::borrow::Cow;
+use std::fmt::Write;
+
 use tpe_core::arch::ArchKind;
+use tpe_engine::render::{json_escape, write_fields, Row, Shape, LAYER_FIELDS};
+use tpe_engine::{Metrics, ModelReport};
 
 use crate::eval::PointResult;
 use crate::pareto::Objective;
 use crate::space::{classic_name, SweepWorkload};
-use tpe_engine::EngineSpec;
 
 /// CSV header matching the per-point row layout. `workload_kind` is
 /// `layer` or `model`; the `m,n,k,repeats` shape columns are empty for
@@ -21,7 +25,7 @@ use tpe_engine::EngineSpec;
 /// intensity_ops_per_byte,bound` (an `Unbounded` row is the precision-era
 /// row plus `,unbounded,<bytes>,<intensity>,compute` — the
 /// golden-compatibility invariant strips appended columns, never
-/// reorders).
+/// reorders). The metric columns are [`Metrics`]' field tables.
 pub const CSV_HEADER: &str =
     "label,style,topology,encoding,node,freq_ghz,workload,workload_kind,layers,macs,\
      m,n,k,repeats,feasible,pareto,\
@@ -38,11 +42,11 @@ pub fn topology_name(kind: ArchKind) -> &'static str {
 
 /// RFC-4180 escaping: fields containing a comma, quote or newline are
 /// quoted (free-form workload names would otherwise shift columns).
-fn csv_field(s: &str) -> String {
+fn csv_field(s: &str) -> Cow<'_, str> {
     if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
+        Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
     } else {
-        s.to_string()
+        Cow::Borrowed(s)
     }
 }
 
@@ -54,21 +58,28 @@ fn workload_kind(w: &SweepWorkload) -> &'static str {
     }
 }
 
+/// Writing into a `String` cannot fail.
+const INFALLIBLE: &str = "writing to a String cannot fail";
+
 /// Renders one result as its CSV row (no trailing newline) — the exact
 /// bytes [`to_csv`] emits for that point. Public so the serve layer's
 /// `sweep`/`pareto` ops can ship per-point rows that are byte-identical
 /// to a `repro dse` dump of the same slice (golden-tested in
 /// `tpe-bench`).
 pub fn point_csv_row(result: &PointResult, on_front: bool) -> String {
+    let mut row = String::with_capacity(192);
+    write_point_csv_row(&mut row, result, on_front);
+    row
+}
+
+/// Appends [`point_csv_row`]'s bytes to `out`.
+fn write_point_csv_row(out: &mut String, result: &PointResult, on_front: bool) {
     let p = &result.point;
     let w = &p.workload;
-    let shape = match w {
-        SweepWorkload::Layer(l) => format!("{},{},{},{}", l.m, l.n, l.k, l.repeats),
-        SweepWorkload::Model(_) => ",,,".to_string(),
-    };
-    let e: &EngineSpec = &p.engine;
-    let head = format!(
-        "{},{},{},{},{},{:.2},{},{},{},{},{},{},{}",
+    let e = &p.engine;
+    write!(
+        out,
+        "{},{},{},{},{},{:.2},{},{},{},{},",
         csv_field(&p.label()),
         e.style.name(),
         topology_name(e.kind),
@@ -79,30 +90,24 @@ pub fn point_csv_row(result: &PointResult, on_front: bool) -> String {
         workload_kind(w),
         w.layer_count(),
         w.macs(),
-        shape,
-        u8::from(result.feasible()),
-        u8::from(on_front),
-    );
-    let precision = e.precision.label();
-    let memory = e.memory.name;
-    match &result.metrics {
-        Some(m) => format!(
-            "{head},{:.3},{:.4},{:.6},{:.4},{:.3},{:.4},{:.5},{:.5},{precision},\
-             {memory},{:.0},{:.4},{}",
-            m.area_um2,
-            m.delay_us,
-            m.energy_uj,
-            m.energy_per_mac_fj,
-            m.throughput_gops,
-            m.peak_tops,
-            m.utilization,
-            m.power_w,
-            m.bytes_moved,
-            m.intensity_ops_per_byte,
-            m.bound.label(),
-        ),
-        None => format!("{head},,,,,,,,,{precision},{memory},,,"),
+    )
+    .expect(INFALLIBLE);
+    match w {
+        SweepWorkload::Layer(l) => write!(out, "{},{},{},{}", l.m, l.n, l.k, l.repeats),
+        SweepWorkload::Model(_) => write!(out, ",,,"),
     }
+    .expect(INFALLIBLE);
+    write!(
+        out,
+        ",{},{}",
+        u8::from(result.feasible()),
+        u8::from(on_front)
+    )
+    .expect(INFALLIBLE);
+    let metrics = result.metrics.as_ref();
+    write_fields(out, Metrics::CORE, metrics, Shape::Csv);
+    write!(out, ",{},{}", e.precision.label(), e.memory.name).expect(INFALLIBLE);
+    write_fields(out, Metrics::ROOFLINE, metrics, Shape::Csv);
 }
 
 /// Renders all results as CSV; `front` holds the indices on the Pareto
@@ -112,21 +117,8 @@ pub fn to_csv(results: &[PointResult], front: &[usize]) -> String {
     out.push_str(CSV_HEADER);
     out.push('\n');
     for (i, r) in results.iter().enumerate() {
-        out.push_str(&point_csv_row(r, front.binary_search(&i).is_ok()));
+        write_point_csv_row(&mut out, r, front.binary_search(&i).is_ok());
         out.push('\n');
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }
@@ -139,13 +131,14 @@ pub fn to_json(results: &[PointResult], front: &[usize], objectives: &[Objective
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{}\"", o.name()));
+        write!(out, "\"{}\"", o.name()).expect(INFALLIBLE);
     }
     out.push_str("],\n  \"points\": [\n");
     for (i, r) in results.iter().enumerate() {
         let p = &r.point;
         let w = &p.workload;
-        out.push_str(&format!(
+        write!(
+            out,
             "    {{\"label\": \"{}\", \"style\": \"{}\", \"topology\": \"{}\", \
              \"encoding\": \"{}\", \"precision\": \"{}\", \"node\": \"{}\", \
              \"freq_ghz\": {:.2}, \"memory\": \"{}\", \
@@ -165,26 +158,10 @@ pub fn to_json(results: &[PointResult], front: &[usize], objectives: &[Objective
             w.macs(),
             r.feasible(),
             front.binary_search(&i).is_ok(),
-        ));
-        if let Some(m) = &r.metrics {
-            out.push_str(&format!(
-                ", \"area_um2\": {:.3}, \"delay_us\": {:.4}, \"energy_uj\": {:.6}, \
-                 \"fj_per_mac\": {:.4}, \"gops\": {:.3}, \"peak_tops\": {:.4}, \
-                 \"utilization\": {:.5}, \"power_w\": {:.5}, \"bytes_moved\": {:.0}, \
-                 \"intensity_ops_per_byte\": {:.4}, \"bound\": \"{}\"",
-                m.area_um2,
-                m.delay_us,
-                m.energy_uj,
-                m.energy_per_mac_fj,
-                m.throughput_gops,
-                m.peak_tops,
-                m.utilization,
-                m.power_w,
-                m.bytes_moved,
-                m.intensity_ops_per_byte,
-                m.bound.label(),
-            ));
-        }
+        )
+        .expect(INFALLIBLE);
+        write_fields(&mut out, Metrics::CORE, r.metrics.as_ref(), Shape::Doc);
+        write_fields(&mut out, Metrics::ROOFLINE, r.metrics.as_ref(), Shape::Doc);
         out.push_str(if i + 1 == results.len() {
             "}\n"
         } else {
@@ -198,7 +175,8 @@ pub fn to_json(results: &[PointResult], front: &[usize], objectives: &[Objective
 /// CSV header matching [`model_csv`]'s per-(model, engine) row layout.
 /// As in [`CSV_HEADER`], new columns append strictly on the right:
 /// `precision` (W8 rows are the historical bytes plus `,W8`), then
-/// `memory,bytes_moved,intensity_ops_per_byte,bound`.
+/// `memory,bytes_moved,intensity_ops_per_byte,bound`. The metric columns
+/// are [`ModelReport`]'s field tables.
 pub const MODEL_CSV_HEADER: &str =
     "model,engine,style,topology,encoding,node,freq_ghz,feasible,layers,macs,\
      cycles,delay_us,energy_uj,gops,peak_tops,utilization,power_w,tops_per_w,area_um2,precision,\
@@ -213,7 +191,8 @@ pub fn model_csv(runs: &[tpe_pipeline::ModelRun]) -> String {
     out.push('\n');
     for run in runs {
         let e = &run.engine;
-        out.push_str(&format!(
+        write!(
+            out,
             "{},{},{},{},{},{},{:.2},{}",
             csv_field(&run.model),
             csv_field(&e.label()),
@@ -223,30 +202,13 @@ pub fn model_csv(runs: &[tpe_pipeline::ModelRun]) -> String {
             e.node_name,
             e.freq_ghz,
             u8::from(run.feasible()),
-        ));
-        let precision = e.precision.label();
-        let memory = e.memory.name;
-        match &run.report {
-            Some(r) => out.push_str(&format!(
-                ",{},{},{:.0},{:.4},{:.6},{:.3},{:.4},{:.5},{:.5},{:.4},{:.3},{precision},\
-                 {memory},{:.0},{:.4},{}\n",
-                r.layer_count(),
-                r.total_macs,
-                r.cycles,
-                r.delay_us,
-                r.energy_uj,
-                r.throughput_gops(),
-                r.peak_tops,
-                r.utilization,
-                r.power_w(),
-                r.tops_per_w(),
-                r.area_um2,
-                r.bytes_moved,
-                r.intensity_ops_per_byte,
-                r.bound.label(),
-            )),
-            None => out.push_str(&format!(",,,,,,,,,,,,{precision},{memory},,,\n")),
-        }
+        )
+        .expect(INFALLIBLE);
+        let report = run.report.as_ref();
+        write_fields(&mut out, ModelReport::CORE, report, Shape::Csv);
+        write!(out, ",{},{}", e.precision.label(), e.memory.name).expect(INFALLIBLE);
+        write_fields(&mut out, ModelReport::ROOFLINE, report, Shape::Csv);
+        out.push('\n');
     }
     out
 }
@@ -258,7 +220,8 @@ pub fn model_json(runs: &[tpe_pipeline::ModelRun]) -> String {
     out.push_str("{\n  \"runs\": [\n");
     for (i, run) in runs.iter().enumerate() {
         let e = &run.engine;
-        out.push_str(&format!(
+        write!(
+            out,
             "    {{\"model\": \"{}\", \"engine\": \"{}\", \"style\": \"{}\", \
              \"topology\": \"{}\", \"encoding\": \"{}\", \"precision\": \"{}\", \
              \"node\": \"{}\", \"freq_ghz\": {:.2}, \"memory\": \"{}\", \"feasible\": {}",
@@ -272,44 +235,20 @@ pub fn model_json(runs: &[tpe_pipeline::ModelRun]) -> String {
             e.freq_ghz,
             e.memory.name,
             run.feasible(),
-        ));
-        if let Some(r) = &run.report {
-            out.push_str(&format!(
-                ", \"layers\": {}, \"macs\": {}, \"cycles\": {:.0}, \
-                 \"delay_us\": {:.4}, \"energy_uj\": {:.6}, \"gops\": {:.3}, \
-                 \"peak_tops\": {:.4}, \"utilization\": {:.5}, \"power_w\": {:.5}, \
-                 \"tops_per_w\": {:.4}, \"area_um2\": {:.3}, \"bytes_moved\": {:.0}, \
-                 \"intensity_ops_per_byte\": {:.4}, \"bound\": \"{}\", \"per_layer\": [",
-                r.layer_count(),
-                r.total_macs,
-                r.cycles,
-                r.delay_us,
-                r.energy_uj,
-                r.throughput_gops(),
-                r.peak_tops,
-                r.utilization,
-                r.power_w(),
-                r.tops_per_w(),
-                r.area_um2,
-                r.bytes_moved,
-                r.intensity_ops_per_byte,
-                r.bound.label(),
-            ));
+        )
+        .expect(INFALLIBLE);
+        let report = run.report.as_ref();
+        write_fields(&mut out, ModelReport::CORE, report, Shape::Doc);
+        write_fields(&mut out, ModelReport::ROOFLINE, report, Shape::Doc);
+        if let Some(r) = report {
+            out.push_str(", \"per_layer\": [");
             for (j, l) in r.layers.iter().enumerate() {
-                out.push_str(&format!(
-                    "{}{{\"name\": \"{}\", \"macs\": {}, \"cycles\": {:.0}, \
-                     \"delay_us\": {:.4}, \"utilization\": {:.5}, \"energy_uj\": {:.6}, \
-                     \"bytes_moved\": {:.0}, \"bound\": \"{}\"}}",
-                    if j > 0 { ", " } else { "" },
-                    json_escape(&l.name),
-                    l.macs,
-                    l.cycles,
-                    l.delay_us,
-                    l.utilization,
-                    l.energy_uj,
-                    l.bytes_moved,
-                    l.bound.label(),
-                ));
+                if j > 0 {
+                    out.push_str(", ");
+                }
+                write!(out, "{{\"name\": \"{}\"", json_escape(&l.name)).expect(INFALLIBLE);
+                write_fields(&mut out, LAYER_FIELDS, Some(l), Shape::Doc);
+                out.push('}');
             }
             out.push(']');
         }

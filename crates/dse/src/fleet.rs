@@ -31,8 +31,9 @@
 //! `"bound":"compute"|"sram"|"dram"`.
 
 use tpe_arith::Precision;
-use tpe_engine::serve::{json_escape, Fields, JsonValue, DEFAULT_SEED};
-use tpe_engine::{CycleModel, EngineCache, EngineSpec, SweepWorkload};
+use tpe_engine::render::json_escape;
+use tpe_engine::serve::{parse_precision, Fields, JsonValue, DEFAULT_SEED};
+use tpe_engine::{EngineCache, EngineSpec, SweepWorkload};
 use tpe_workloads::NetworkModel;
 
 use crate::eval::evaluate_with_model;
@@ -101,7 +102,7 @@ fn parse_stream(token: &str) -> Result<Stream, String> {
             }
         }
     };
-    let precision = Precision::parse(prec).ok_or_else(|| format!("unknown precision `{prec}`"))?;
+    let precision = parse_precision(prec)?;
     let qps: f64 = qps
         .parse()
         .map_err(|e| format!("stream qps `{qps}`: {e}"))?;
@@ -152,18 +153,8 @@ pub(crate) fn fleet_op(fields: &Fields, cache: &EngineCache) -> Result<Vec<Strin
         Some(_) => return Err("field `max_delay_us` must be a positive number".into()),
     };
     let seed = fields.uint_or("seed", DEFAULT_SEED)?;
-    let cycle_model = match fields.opt_str("cycle_model")? {
-        None => CycleModel::Sampled,
-        Some(m) => CycleModel::parse(m)
-            .ok_or_else(|| format!("unknown cycle_model `{m}` (expected sampled|analytic)"))?,
-    };
-    let memory = match fields.opt_str("memory")? {
-        None => None,
-        Some(name) => Some(
-            tpe_engine::roster::find_memory(name)
-                .ok_or_else(|| format!("unknown memory corner `{name}`"))?,
-        ),
-    };
+    let cycle_model = fields.cycle_model()?;
+    let memory = fields.memory()?;
 
     /// A feasible (engine, replicas) pick for one stream.
     struct Pick {

@@ -38,7 +38,8 @@
 
 use std::sync::Arc;
 
-use tpe_engine::serve::{json_escape, BatchOps, Fields, DEFAULT_SEED};
+use tpe_engine::render::json_escape;
+use tpe_engine::serve::{BatchOps, Fields, DEFAULT_SEED};
 use tpe_engine::{CycleModel, EngineCache};
 use tpe_obs::{Counter, Histogram};
 
@@ -200,11 +201,7 @@ fn slice_op(fields: &Fields, cache: &EngineCache, op: SliceOp) -> Result<Vec<Str
     // Absent means sampled — and the serve pool injects the server's
     // default here, so `--cycle-model analytic` servers answer
     // analytic slices without clients re-spelling the field.
-    let cycle_model = match fields.opt_str("cycle_model")? {
-        None => CycleModel::Sampled,
-        Some(m) => CycleModel::parse(m)
-            .ok_or_else(|| format!("unknown cycle_model `{m}` (expected sampled|analytic)"))?,
-    };
+    let cycle_model = fields.cycle_model()?;
 
     let obs = DseObs::of(cache);
     let indexed = obs.slice_eval_ns.time(|| {

@@ -33,7 +33,9 @@
 
 use std::collections::BTreeMap;
 
-use tpe_engine::serve::{parse_flat_object, JsonValue};
+use tpe_engine::render::ok_line;
+use tpe_engine::serve::{parse_flat_object, Fields};
+use tpe_engine::CycleModel;
 
 use crate::eval::PointResult;
 use crate::pareto::{dominates_scores, Objective};
@@ -172,7 +174,7 @@ struct ShardResponse {
     op: String,
     filter: String,
     model: Option<String>,
-    analytic: bool,
+    cycle_model: CycleModel,
     seed: u64,
     objectives: String,
     csv_header: String,
@@ -182,46 +184,39 @@ struct ShardResponse {
     rows: Vec<ShardPoint>,
 }
 
-fn field_str(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, String> {
-    match map.get(key) {
-        Some(JsonValue::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("shard response lacks string field `{key}`")),
-    }
+/// Parses one shard reply line into its fields.
+fn parse_line(line: &str, what: &str) -> Result<Fields, String> {
+    parse_flat_object(line)
+        .map(Fields)
+        .map_err(|e| format!("{what}: {e}"))
 }
 
-fn field_uint(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
-    match map.get(key) {
-        Some(JsonValue::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        _ => Err(format!("shard response lacks integer field `{key}`")),
-    }
-}
-
-fn field_bool(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<bool, String> {
-    match map.get(key) {
-        Some(JsonValue::Bool(b)) => Ok(*b),
-        _ => Err(format!("shard response lacks boolean field `{key}`")),
-    }
+/// Names the shard response as the source of a field error.
+fn shard_err(e: String) -> String {
+    format!("shard response: {e}")
 }
 
 fn parse_shard_response(lines: &[String]) -> Result<ShardResponse, String> {
     let summary_line = lines.first().ok_or("empty shard response")?;
-    let summary = parse_flat_object(summary_line).map_err(|e| format!("shard summary: {e}"))?;
-    if !field_bool(&summary, "ok")? {
+    let summary = parse_line(summary_line, "shard summary")?;
+    let text = |key: &str| summary.str(key).map(str::to_string).map_err(shard_err);
+    let uint = |key: &str| summary.uint(key).map_err(shard_err);
+    if !summary.bool("ok").map_err(shard_err)? {
         return Err(format!(
             "shard request failed: {}",
-            field_str(&summary, "error").unwrap_or_else(|_| summary_line.clone())
+            text("error").unwrap_or_else(|_| summary_line.clone())
         ));
     }
-    let op = field_str(&summary, "op")?;
+    let op = text("op")?;
     if op != "sweep" && op != "pareto" {
         return Err(format!(
             "op `{op}` is not mergeable (expected sweep|pareto)"
         ));
     }
-    let shard = ShardSpec::parse(&field_str(&summary, "shard").map_err(|_| {
+    let shard = ShardSpec::parse(&text("shard").map_err(|_| {
         "shard summary carries no `shard` field — was the request stamped `shard:k/n`?".to_string()
     })?)?;
-    let points_follow = field_uint(&summary, "points_follow")? as usize;
+    let points_follow = uint("points_follow")? as usize;
     if points_follow != lines.len() - 1 {
         return Err(format!(
             "shard response announced {points_follow} point line(s) but carries {}",
@@ -230,38 +225,36 @@ fn parse_shard_response(lines: &[String]) -> Result<ShardResponse, String> {
     }
     let mut rows = Vec::with_capacity(lines.len() - 1);
     for line in &lines[1..] {
-        let map = parse_flat_object(line).map_err(|e| format!("shard point line: {e}"))?;
-        let local_front = field_bool(&map, "pareto")?;
-        let merge_fields = if local_front {
-            let group = field_str(&map, "group").map_err(|_| {
+        let row = parse_line(line, "shard point line")?;
+        let text = |key: &str| row.str(key).map(str::to_string).map_err(shard_err);
+        let merge_fields = if row.bool("pareto").map_err(shard_err)? {
+            let group = text("group").map_err(|_| {
                 "shard front row lacks merge fields (group/scores/csv_off)".to_string()
             })?;
-            let scores = decode_scores(&field_str(&map, "scores")?)?;
-            let csv_off = field_str(&map, "csv_off")?;
-            Some((group, scores, csv_off))
+            Some((group, decode_scores(&text("scores")?)?, text("csv_off")?))
         } else {
             None
         };
         rows.push(ShardPoint {
-            index: field_uint(&map, "index")? as usize,
-            label: field_str(&map, "label")?,
-            feasible: field_bool(&map, "feasible")?,
-            csv: field_str(&map, "csv")?,
+            index: row.uint("index").map_err(shard_err)? as usize,
+            label: text("label")?,
+            feasible: row.bool("feasible").map_err(shard_err)?,
+            csv: text("csv")?,
             merge_fields,
         });
     }
     Ok(ShardResponse {
-        id: field_uint(&summary, "id")?,
+        id: uint("id")?,
         op,
-        filter: field_str(&summary, "filter")?,
-        model: field_str(&summary, "model").ok(),
-        analytic: matches!(summary.get("cycle_model"), Some(JsonValue::Str(m)) if m == "analytic"),
-        seed: field_uint(&summary, "seed")?,
-        objectives: field_str(&summary, "objectives")?,
-        csv_header: field_str(&summary, "csv_header")?,
+        filter: text("filter")?,
+        model: text("model").ok(),
+        cycle_model: summary.cycle_model().map_err(shard_err)?,
+        seed: uint("seed")?,
+        objectives: text("objectives")?,
+        csv_header: text("csv_header")?,
         shard,
-        points: field_uint(&summary, "points")?,
-        feasible: field_uint(&summary, "feasible")?,
+        points: uint("points")?,
+        feasible: uint("feasible")?,
         rows,
     })
 }
@@ -307,7 +300,7 @@ pub fn merge_shard_responses(shards: &[Vec<String>]) -> Result<Vec<String>, Stri
             &p.op,
             &p.filter,
             &p.model,
-            &p.analytic,
+            &p.cycle_model,
             &p.seed,
             &p.objectives,
             &p.csv_header,
@@ -316,7 +309,7 @@ pub fn merge_shard_responses(shards: &[Vec<String>]) -> Result<Vec<String>, Stri
             &first.op,
             &first.filter,
             &first.model,
-            &first.analytic,
+            &first.cycle_model,
             &first.seed,
             &first.objectives,
             &first.csv_header,
@@ -376,11 +369,6 @@ pub fn merge_shard_responses(shards: &[Vec<String>]) -> Result<Vec<String>, Stri
         })
         .collect();
 
-    let cycle_model = if first.analytic {
-        tpe_engine::CycleModel::Analytic
-    } else {
-        tpe_engine::CycleModel::Sampled
-    };
     let id = first.id;
     let mut out = Vec::with_capacity(1 + payload.len());
     let summary = crate::serve_ops::render_summary(
@@ -388,7 +376,7 @@ pub fn merge_shard_responses(shards: &[Vec<String>]) -> Result<Vec<String>, Stri
         &first.filter,
         first.model.as_deref(),
         None,
-        cycle_model,
+        first.cycle_model,
         first.seed,
         &first.objectives,
         total_points as usize,
@@ -396,7 +384,7 @@ pub fn merge_shard_responses(shards: &[Vec<String>]) -> Result<Vec<String>, Stri
         front.len(),
         payload.len(),
     );
-    out.push(format!("{{\"id\":{id},\"ok\":true,{summary}}}"));
+    out.push(ok_line(id, &summary));
     for (row, on_front, csv) in payload {
         let body = crate::serve_ops::render_point(
             &first.op,
@@ -407,7 +395,7 @@ pub fn merge_shard_responses(shards: &[Vec<String>]) -> Result<Vec<String>, Stri
             csv,
             "",
         );
-        out.push(format!("{{\"id\":{id},\"ok\":true,{body}}}"));
+        out.push(ok_line(id, &body));
     }
     Ok(out)
 }

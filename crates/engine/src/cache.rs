@@ -39,7 +39,7 @@
 //! in `tpe-bench` pin this.
 
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
@@ -482,8 +482,8 @@ pub struct CacheStats {
     pub cycle_misses: u64,
     /// Accounted pricing lookups, counted independently of the hit/miss
     /// branch. At quiescence `price_lookups == price_hits + price_misses`
-    /// — the consistency invariant the serve `stats` op exposes so clients
-    /// can detect broken accounting (a counting site added on one side but
+    /// — the consistency invariant the serve `metrics` op exposes (as
+    /// `ctr_cache_*` counters) so clients can detect broken accounting (a counting site added on one side but
     /// not the other).
     pub price_lookups: u64,
     /// Accounted cycle lookups; at quiescence
@@ -573,9 +573,8 @@ impl CacheContents {
 }
 
 /// One map family's lookup counters, registered in the cache's registry
-/// as `cache_<map>_{hits,misses,lookups}` — so the `stats` view
-/// ([`EngineCache::stats`]) and the `metrics` exposition read the same
-/// atomics.
+/// as `cache_<map>_{hits,misses,lookups}` — so [`EngineCache::stats`]
+/// and the serve `metrics` op read the same atomics.
 #[derive(Debug)]
 struct MapCounters {
     hits: Arc<Counter>,
@@ -630,10 +629,6 @@ pub struct EngineCache {
     /// The evaluator stage metrics, registered in `registry` once, when
     /// the cache is built.
     pub(crate) eval_obs: EvalObs,
-    /// Counter levels at the last [`Self::window_delta`] call — the
-    /// observation window the serve `stats` op reports per-window rates
-    /// over.
-    last_window: Mutex<CacheStats>,
 }
 
 impl Default for EngineCache {
@@ -649,7 +644,6 @@ impl Default for EngineCache {
             model: MapCounters::in_registry(&registry, "model"),
             eval_obs: EvalObs::in_registry(&registry),
             registry,
-            last_window: Mutex::new(CacheStats::default()),
         }
     }
 }
@@ -751,19 +745,6 @@ impl EngineCache {
             model_misses: self.model.misses.get(),
             model_lookups: self.model.lookups.get(),
         }
-    }
-
-    /// Counter deltas since the previous `window_delta` call (the full
-    /// totals on the first), then resets the window — so a long-running
-    /// server polling this sees per-window rates rather than
-    /// ever-growing totals. The window is advanced under a mutex, so
-    /// concurrent pollers each get a disjoint slice of the counters.
-    pub fn window_delta(&self) -> CacheStats {
-        let mut last = self.last_window.lock().expect("cache window poisoned");
-        let now = self.stats();
-        let delta = now.since(&last);
-        *last = now;
-        delta
     }
 
     /// Copies every memoized entry out of the four maps. Only memoized
@@ -927,21 +908,6 @@ mod tests {
         assert_eq!((delta.price_hits, delta.price_misses), (1, 1));
         assert_eq!(delta.hits() + delta.misses(), 2);
         assert_eq!(delta.lookups(), 2, "deltas keep the lookup invariant");
-    }
-
-    #[test]
-    fn window_delta_advances_and_resets() {
-        let cache = EngineCache::new();
-        cache.pe_record(key(1000), || Some(record()));
-        cache.pe_record(key(1000), || unreachable!());
-        let w1 = cache.window_delta();
-        assert_eq!((w1.price_hits, w1.price_misses), (1, 1));
-        let w2 = cache.window_delta();
-        assert_eq!(w2, CacheStats::default(), "nothing between polls");
-        cache.pe_record(key(1000), || unreachable!());
-        let w3 = cache.window_delta();
-        assert_eq!((w3.price_hits, w3.price_misses), (1, 0));
-        assert_eq!(w3.lookups(), 1, "window keeps the lookup invariant");
     }
 
     /// The derived price layer keeps the accounting invariant: every

@@ -49,6 +49,10 @@
 //!   behind the dse sweep and the model grid.
 //! * [`schedule`] / [`report`] — layer tiling onto array geometries and
 //!   the per-layer/end-to-end report schema.
+//! * [`render`] — the one JSON escape, the one reply envelope, and the
+//!   field tables ([`render::Row`]) that name and round every
+//!   [`eval::Metrics`] and [`report::ModelReport`] field in the serve
+//!   replies, `--json` documents and CSVs.
 //! * [`serve`] — the `repro serve` protocol: a std-only TCP/NDJSON batch
 //!   query server over one cache, instrumented end to end with `tpe-obs`
 //!   metrics recorded into that cache's registry
@@ -75,6 +79,7 @@ pub mod cache;
 pub mod caps;
 pub mod eval;
 pub mod par;
+pub mod render;
 pub mod report;
 pub mod roster;
 pub mod schedule;

@@ -14,10 +14,9 @@
 //! {"id":3,"op":"model","engine":"OPT4E[EN-T]","model":"ResNet18","seed":42}
 //! {"id":4,"op":"engine","engine":"OPT4E[EN-T]","precision":"W4"}
 //! {"id":5,"op":"roster"}
-//! {"id":6,"op":"stats"}
-//! {"id":7,"op":"metrics"}
-//! {"id":8,"op":"metrics","format":"prometheus"}
-//! {"id":9,"op":"shutdown"}
+//! {"id":6,"op":"metrics"}
+//! {"id":7,"op":"metrics","format":"prometheus"}
+//! {"id":8,"op":"shutdown"}
 //! ```
 //!
 //! The `engine`/`layer`/`model` ops accept an optional `"precision"`
@@ -43,9 +42,12 @@
 //! to read — [`query_batch`] does this automatically).
 //!
 //! Responses echo the `id` and carry `"ok":true` plus op-specific fields,
-//! or `"ok":false` with an `"error"` string. All numeric fields render at
-//! fixed precision, so a given request line maps to exactly one response
-//! byte sequence — **batched responses are byte-identical to sequential
+//! or `"ok":false` with an `"error"` string ([`crate::render`] holds the
+//! one envelope). All numeric fields render at fixed precision (the
+//! `layer` and `model` bodies through the [`crate::render::Row`] field
+//! tables the dse CSV and `--json` documents share), so a given request
+//! line maps to exactly one response byte sequence — **batched responses
+//! are byte-identical to sequential
 //! single-query responses** (property-tested), because every evaluation is
 //! a deterministic function of the request (seeds are per-request, never
 //! per-connection).
@@ -78,12 +80,11 @@
 //! (plus the cache's entry-count gauges) as a flat JSON object, or as
 //! Prometheus text exposition with `"format":"prometheus"`. Histograms
 //! travel as log2 bucket-count CSVs, so clients can diff two snapshots
-//! and compute windowed percentiles server-side data alone. The `stats` op
-//! additionally reports `since_*` cache-counter deltas over its own
-//! polling window plus process uptime (minus an optional caller-supplied
-//! monotonic `origin`). Both ops are stateful views of a running server,
-//! so — unlike every evaluation op — their bytes are not replayable;
-//! they are deliberately excluded from the byte-identity properties.
+//! and compute windowed percentiles from server-side data alone; a
+//! windowed cache hit rate is the same client-side diff of two polls'
+//! `ctr_cache_*` counters. The op is a stateful view of a running server,
+//! so — unlike every evaluation op — its bytes are not replayable; it is
+//! deliberately excluded from the byte-identity properties.
 //!
 //! ## Limits and lifecycle
 //!
@@ -111,7 +112,9 @@ use tpe_workloads::{LayerShape, NetworkModel};
 use crate::cache::EngineCache;
 use crate::caps::CycleModel;
 use crate::eval::Evaluator;
+use crate::render::{error_line, json_escape, ok_line, write_fields, Row, Shape};
 use crate::roster;
+use crate::spec::{EngineSpec, MemorySpec};
 use crate::workload::SweepWorkload;
 
 /// Default seed for sampled evaluations when a request omits `"seed"` —
@@ -275,20 +278,6 @@ pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonValue>, Stri
     Ok(map)
 }
 
-/// JSON string-content escaping for response fields.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Best-effort recovery of a request's `"id"` from a line that failed to
 /// parse as a flat object: a lenient scan for an `"id"` key followed by a
 /// run of digits, so pipelined clients can still correlate the error
@@ -324,14 +313,6 @@ fn request_id(line: &str) -> u64 {
         Ok(map) => Fields(map).uint_or("id", 0).unwrap_or(0),
         Err(_) => recover_id(line),
     }
-}
-
-/// Renders the standard error envelope.
-fn error_line(id: u64, error: &str) -> String {
-    format!(
-        "{{\"id\":{id},\"ok\":false,\"error\":\"{}\"}}",
-        json_escape(error)
-    )
 }
 
 /// Typed field access over a parsed request object, shared with
@@ -377,14 +358,47 @@ impl Fields {
         }
     }
 
-    /// A boolean field with a default.
-    pub fn bool_or(&self, key: &str, default: bool) -> Result<bool, String> {
+    /// A required boolean field.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
         match self.0.get(key) {
             Some(JsonValue::Bool(b)) => Ok(*b),
             Some(_) => Err(format!("field `{key}` must be a boolean")),
-            None => Ok(default),
+            None => Err(format!("missing field `{key}`")),
         }
     }
+
+    /// A boolean field with a default.
+    pub fn bool_or(&self, key: &str, default: bool) -> Result<bool, String> {
+        if self.0.contains_key(key) {
+            self.bool(key)
+        } else {
+            Ok(default)
+        }
+    }
+
+    /// The serial-cycle backend named by the optional `cycle_model` field
+    /// (`"sampled"` / `"analytic"`, case-insensitive); absent means
+    /// sampled — the historical wire behavior.
+    pub fn cycle_model(&self) -> Result<CycleModel, String> {
+        match self.opt_str("cycle_model")? {
+            None => Ok(CycleModel::Sampled),
+            Some(m) => CycleModel::parse(m)
+                .ok_or_else(|| format!("unknown cycle_model `{m}` (expected sampled|analytic)")),
+        }
+    }
+
+    /// The memory corner named by the optional `memory` field.
+    pub fn memory(&self) -> Result<Option<MemorySpec>, String> {
+        self.opt_str("memory")?
+            .map(|m| roster::find_memory(m).ok_or_else(|| format!("unknown memory corner `{m}`")))
+            .transpose()
+    }
+}
+
+/// Parses an operand-precision token (`W4`, `w8`, `W8xW4`, …) — the
+/// `precision` request field and the precision part of a `fleet` stream.
+pub fn parse_precision(token: &str) -> Result<tpe_arith::Precision, String> {
+    tpe_arith::Precision::parse(token).ok_or_else(|| format!("unknown precision `{token}`"))
 }
 
 /// Server-side batch-op extensions (the `sweep`/`pareto` ops live in
@@ -564,10 +578,7 @@ fn handle_request_classified(
     let id = fields.uint_or("id", 0).unwrap_or(0);
     match respond(&fields, cache, ops) {
         Ok((bodies, is_shutdown)) => (
-            bodies
-                .into_iter()
-                .map(|body| format!("{{\"id\":{id},\"ok\":true,{body}}}"))
-                .collect(),
+            bodies.iter().map(|body| ok_line(id, body)).collect(),
             is_shutdown,
             class,
         ),
@@ -581,7 +592,7 @@ fn respond(
     cache: &EngineCache,
     ops: &dyn BatchOps,
 ) -> Result<(Vec<String>, bool), String> {
-    let cycle_model = resolve_cycle_model(fields)?;
+    let cycle_model = fields.cycle_model()?;
     let eval = Evaluator::new(cache).with_cycle_model(cycle_model);
     // Echoed in cycle-bearing bodies only when non-default, so every
     // sampled-mode response stays byte-identical to the pre-mode wire
@@ -631,21 +642,15 @@ fn respond(
                 None => format!("{m}x{n}x{k}r{repeats}"),
             };
             let workload = SweepWorkload::Layer(LayerShape::new(&name, m, n, k, repeats));
-            let body = match eval.metrics(&spec, &workload, seed) {
-                Some(mt) => format!(
-                    "\"op\":\"layer\",\"engine\":\"{}\",\"workload\":\"{}\",\"seed\":{seed}{cycle_tag},\
-                     \"feasible\":true,{}",
-                    json_escape(&spec.label()),
-                    json_escape(&name),
-                    metrics_body(&mt, !spec.memory.is_unbounded())
-                ),
-                None => format!(
-                    "\"op\":\"layer\",\"engine\":\"{}\",\"workload\":\"{}\",\"seed\":{seed}{cycle_tag},\
-                     \"feasible\":false",
-                    json_escape(&spec.label()),
-                    json_escape(&name)
-                ),
-            };
+            let metrics = eval.metrics(&spec, &workload, seed);
+            let mut body = format!(
+                "\"op\":\"layer\",\"engine\":\"{}\",\"workload\":\"{}\",\"seed\":{seed}{cycle_tag},\
+                 \"feasible\":{}",
+                json_escape(&spec.label()),
+                json_escape(&name),
+                metrics.is_some()
+            );
+            write_row(&mut body, metrics.as_ref(), &spec);
             one(body)
         }
         "model" => {
@@ -656,50 +661,15 @@ fn respond(
                 .into_iter()
                 .find(|n| n.is_named(model_name))
                 .ok_or_else(|| format!("unknown model `{model_name}`"))?;
-            let body = match eval.model_report(&spec, &net, seed, crate::MODEL_SAMPLE_CAPS) {
-                Some(r) => {
-                    let mut body = format!(
-                        "\"op\":\"model\",\"engine\":\"{}\",\"model\":\"{}\",\"seed\":{seed}{cycle_tag},\
-                         \"feasible\":true,\"layers\":{},\"macs\":{},\"cycles\":{:.0},\
-                         \"delay_us\":{:.4},\"energy_uj\":{:.6},\"gops\":{:.3},\
-                         \"peak_tops\":{:.4},\"utilization\":{:.5},\"power_w\":{:.5},\
-                         \"tops_per_w\":{:.4},\"area_um2\":{:.3}",
-                        json_escape(&spec.label()),
-                        json_escape(&net.name),
-                        r.layer_count(),
-                        r.total_macs,
-                        r.cycles,
-                        r.delay_us,
-                        r.energy_uj,
-                        r.throughput_gops(),
-                        r.peak_tops,
-                        r.utilization,
-                        r.power_w(),
-                        r.tops_per_w(),
-                        r.area_um2
-                    );
-                    // As in `metrics_body`: the roofline group appends
-                    // only under a finite memory corner, keeping
-                    // default-corner responses byte-identical to the
-                    // pre-memory wire format.
-                    if !spec.memory.is_unbounded() {
-                        body.push_str(&format!(
-                            ",\"bytes_moved\":{:.0},\"intensity_ops_per_byte\":{:.4},\
-                             \"bound\":\"{}\"",
-                            r.bytes_moved,
-                            r.intensity_ops_per_byte,
-                            r.bound.label()
-                        ));
-                    }
-                    body
-                }
-                None => format!(
-                    "\"op\":\"model\",\"engine\":\"{}\",\"model\":\"{}\",\"seed\":{seed}{cycle_tag},\
-                     \"feasible\":false",
-                    json_escape(&spec.label()),
-                    json_escape(&net.name)
-                ),
-            };
+            let report = eval.model_report(&spec, &net, seed, crate::MODEL_SAMPLE_CAPS);
+            let mut body = format!(
+                "\"op\":\"model\",\"engine\":\"{}\",\"model\":\"{}\",\"seed\":{seed}{cycle_tag},\
+                 \"feasible\":{}",
+                json_escape(&spec.label()),
+                json_escape(&net.name),
+                report.is_some()
+            );
+            write_row(&mut body, report.as_ref(), &spec);
             one(body)
         }
         "roster" => {
@@ -710,48 +680,6 @@ fn respond(
             one(format!(
                 "\"op\":\"roster\",\"engines\":[{}]",
                 names.join(",")
-            ))
-        }
-        "stats" => {
-            let s = cache.stats();
-            let w = cache.window_delta();
-            let origin = fields.uint_or("origin", 0)?;
-            one(format!(
-                "\"op\":\"stats\",\"price_hits\":{},\"price_misses\":{},\
-                 \"cycle_hits\":{},\"cycle_misses\":{},\
-                 \"model_hits\":{},\"model_misses\":{},\"hit_rate\":{:.4},\
-                 \"price_lookups\":{},\"cycle_lookups\":{},\"model_lookups\":{},\
-                 \"priced_entries\":{},\"cycle_entries\":{},\"model_entries\":{},\
-                 \"since_price_hits\":{},\"since_price_misses\":{},\
-                 \"since_cycle_hits\":{},\"since_cycle_misses\":{},\
-                 \"since_model_hits\":{},\"since_model_misses\":{},\
-                 \"since_price_lookups\":{},\"since_cycle_lookups\":{},\
-                 \"since_model_lookups\":{},\
-                 \"since_hit_rate\":{:.4},\"uptime_ms\":{}",
-                s.price_hits,
-                s.price_misses,
-                s.cycle_hits,
-                s.cycle_misses,
-                s.model_hits,
-                s.model_misses,
-                s.hit_rate(),
-                s.price_lookups,
-                s.cycle_lookups,
-                s.model_lookups,
-                cache.priced_len(),
-                cache.cycles_len(),
-                cache.models_len(),
-                w.price_hits,
-                w.price_misses,
-                w.cycle_hits,
-                w.cycle_misses,
-                w.model_hits,
-                w.model_misses,
-                w.price_lookups,
-                w.cycle_lookups,
-                w.model_lookups,
-                w.hit_rate(),
-                tpe_obs::uptime_ms().saturating_sub(origin)
             ))
         }
         "metrics" => {
@@ -775,7 +703,7 @@ fn respond(
             Some(Ok(bodies)) => Ok((bodies, false)),
             Some(Err(e)) => Err(e),
             None => Err(format!(
-                "unknown op `{other}` (expected engine|layer|metrics|model|roster|stats|shutdown{})",
+                "unknown op `{other}` (expected engine|layer|metrics|model|roster|shutdown{})",
                 ops.op_names()
             )),
         },
@@ -822,71 +750,35 @@ fn metrics_snapshot_body(snap: &tpe_obs::Snapshot) -> String {
 /// carry `@W4`-style precision and `@edge`-style memory suffixes),
 /// overridden by the optional `precision` and `memory` fields when
 /// present — so clients can sweep either axis without re-spelling labels.
-fn resolve_engine(fields: &Fields) -> Result<crate::EngineSpec, String> {
+fn resolve_engine(fields: &Fields) -> Result<EngineSpec, String> {
     let name = fields.str("engine")?;
     let mut spec = roster::find(name).ok_or_else(|| format!("unknown engine `{name}`"))?;
-    match fields.0.get("precision") {
-        None => {}
-        Some(JsonValue::Str(p)) => match tpe_arith::Precision::parse(p) {
-            Some(precision) => spec = spec.with_precision(precision),
-            None => return Err(format!("unknown precision `{p}`")),
-        },
-        Some(_) => return Err("field `precision` must be a string".into()),
+    if let Some(precision) = fields.opt_str("precision")? {
+        spec = spec.with_precision(parse_precision(precision)?);
     }
-    match fields.0.get("memory") {
-        None => Ok(spec),
-        Some(JsonValue::Str(m)) => roster::find_memory(m)
-            .map(|memory| spec.with_memory(memory))
-            .ok_or_else(|| format!("unknown memory corner `{m}`")),
-        Some(_) => Err("field `memory` must be a string".into()),
+    if let Some(memory) = fields.memory()? {
+        spec = spec.with_memory(memory);
     }
+    Ok(spec)
 }
 
-/// Resolves the request's serial-cycle backend from the optional
-/// `cycle_model` field (`"sampled"` / `"analytic"`, case-insensitive);
-/// absent means sampled — the historical wire behavior.
-fn resolve_cycle_model(fields: &Fields) -> Result<CycleModel, String> {
-    match fields.0.get("cycle_model") {
-        None => Ok(CycleModel::Sampled),
-        Some(JsonValue::Str(m)) => CycleModel::parse(m)
-            .ok_or_else(|| format!("unknown cycle_model `{m}` (expected sampled|analytic)")),
-        Some(_) => Err("field `cycle_model` must be a string".into()),
+/// Appends a feasible row's fields to a `layer`/`model` body. The roofline
+/// group appends only under a finite memory corner (the label already
+/// spells which one), so default-corner replies stay byte-identical to
+/// the pre-memory wire format.
+fn write_row<T: Row>(body: &mut String, row: Option<&T>, spec: &EngineSpec) {
+    write_fields(body, T::CORE, row, Shape::Wire);
+    if !spec.memory.is_unbounded() {
+        write_fields(body, T::ROOFLINE, row, Shape::Wire);
     }
-}
-
-fn metrics_body(m: &crate::Metrics, roofline: bool) -> String {
-    let mut body = format!(
-        "\"area_um2\":{:.3},\"delay_us\":{:.4},\"energy_uj\":{:.6},\"fj_per_mac\":{:.4},\
-         \"gops\":{:.3},\"peak_tops\":{:.4},\"utilization\":{:.5},\"power_w\":{:.5}",
-        m.area_um2,
-        m.delay_us,
-        m.energy_uj,
-        m.energy_per_mac_fj,
-        m.throughput_gops,
-        m.peak_tops,
-        m.utilization,
-        m.power_w
-    );
-    // The roofline group appends only under a finite memory corner (the
-    // label already spells which one), so default-corner responses stay
-    // byte-identical to the pre-memory wire format.
-    if roofline {
-        body.push_str(&format!(
-            ",\"bytes_moved\":{:.0},\"intensity_ops_per_byte\":{:.4},\"bound\":\"{}\"",
-            m.bytes_moved,
-            m.intensity_ops_per_byte,
-            m.bound.label()
-        ));
-    }
-    body
 }
 
 /// Ops with dedicated `serve_op_<name>` request counters, in name order.
 /// Anything else — unknown ops, a missing `op` field, unparseable lines —
 /// counts under `serve_op_other`.
-pub const COUNTED_OPS: [&str; 11] = [
+pub const COUNTED_OPS: [&str; 10] = [
     "engine", "fleet", "layer", "metrics", "model", "pareto", "roster", "shutdown", "snapshot",
-    "stats", "sweep",
+    "sweep",
 ];
 
 /// Shared handles to the serve layer's metrics, resolved once per run.
@@ -1051,14 +943,15 @@ pub fn serve_with(
                 // Shutdown is signaled by the connection reader at parse
                 // time (see `handle_connection`), so the worker only
                 // evaluates and answers.
-                obs.queue_wait_ns.record_duration(submitted.elapsed());
                 let eval_start = Instant::now();
                 let (lines, _, class) =
                     handle_request_classified(&line, cache, ops, config.cycle_model);
-                // All metrics for this request land before its reply can
-                // reach the socket: a client that has read response N
-                // knows the counters cover requests 1..=N (and a
-                // `metrics` snapshot taken mid-eval excludes itself).
+                // All metrics for this request land after its evaluation
+                // and before its reply can reach the socket: a client that
+                // has read response N knows the counters cover requests
+                // 1..=N, and a `metrics` snapshot excludes itself.
+                obs.queue_wait_ns
+                    .record_duration(eval_start.duration_since(submitted));
                 obs.eval_ns.record_duration(eval_start.elapsed());
                 obs.record_class(class);
                 obs.inflight.dec();
@@ -1681,46 +1574,53 @@ mod tests {
         }
     }
 
-    /// The stats op surfaces the accounting invariant fields.
+    /// Pulls a `"key":<unsigned>` field out of a one-line reply.
+    fn num(resp: &str, field: &str) -> u64 {
+        let needle = format!("\"{field}\":");
+        let tail = &resp[resp.find(&needle).expect(field) + needle.len()..];
+        tail[..tail
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(tail.len())]
+            .parse()
+            .expect(field)
+    }
+
+    /// The metrics op surfaces every map's accounting invariant:
+    /// `ctr_cache_<map>_hits + _misses == _lookups`, beside the entry
+    /// gauges.
     #[test]
-    fn stats_op_reports_lookup_consistency_fields() {
+    fn metrics_op_reports_lookup_consistency_fields() {
         let cache = EngineCache::new();
         ask(
             r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
             &cache,
         );
-        let (resp, _) = ask(r#"{"id":2,"op":"stats"}"#, &cache);
-        for field in [
-            "\"price_lookups\":",
-            "\"cycle_lookups\":",
-            "\"model_lookups\":",
-            "\"priced_entries\":",
-            "\"cycle_entries\":",
-            "\"model_entries\":",
-        ] {
-            assert!(resp.contains(field), "{resp}");
+        ask(
+            r#"{"id":2,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
+            &cache,
+        );
+        let (resp, _) = ask(r#"{"id":3,"op":"metrics"}"#, &cache);
+        for map in ["price", "cycle", "model"] {
+            let ctr = |what: &str| num(&resp, &format!("ctr_cache_{map}_{what}"));
+            assert_eq!(ctr("hits") + ctr("misses"), ctr("lookups"), "{map}: {resp}");
         }
-        let stats = cache.stats();
-        assert_eq!(stats.lookups(), stats.hits() + stats.misses());
+        assert_eq!(num(&resp, "ctr_cache_price_lookups"), 2, "{resp}");
+        for gauge in ["priced", "cycle", "model"] {
+            assert!(
+                resp.contains(&format!("\"gauge_cache_{gauge}_entries\":")),
+                "{resp}"
+            );
+        }
     }
 
     /// Model ops keep the model map's accounting invariant visible over
     /// the wire: after a cold + warm `model` request against an isolated
-    /// cache, `model_hits + model_misses == model_lookups` in the stats
+    /// cache, `model_hits + model_misses == model_lookups` in the metrics
     /// response, and the warm repeat answered byte-identically from one
     /// model-map hit.
     #[test]
     fn model_op_accounting_balances_over_the_wire() {
         let cache = EngineCache::new();
-        let num = |resp: &str, field: &str| -> u64 {
-            let needle = format!("\"{field}\":");
-            let tail = &resp[resp.find(&needle).expect(field) + needle.len()..];
-            tail[..tail
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(tail.len())]
-                .parse()
-                .expect(field)
-        };
         let req = r#"{"id":1,"op":"model","engine":"OPT4E[EN-T]/28nm@2.00GHz","model":"resnet18"}"#;
         let (cold, _) = ask(req, &cache);
         let (warm, _) = ask(req, &cache);
@@ -1729,15 +1629,15 @@ mod tests {
             warm.replace("\"id\":1", ""),
             "warm model op must answer byte-identically"
         );
-        let (stats, _) = ask(r#"{"id":2,"op":"stats"}"#, &cache);
+        let (metrics, _) = ask(r#"{"id":2,"op":"metrics"}"#, &cache);
         let (hits, misses, lookups) = (
-            num(&stats, "model_hits"),
-            num(&stats, "model_misses"),
-            num(&stats, "model_lookups"),
+            num(&metrics, "ctr_cache_model_hits"),
+            num(&metrics, "ctr_cache_model_misses"),
+            num(&metrics, "ctr_cache_model_lookups"),
         );
-        assert_eq!(hits + misses, lookups, "{stats}");
-        assert_eq!((hits, misses), (1, 1), "{stats}");
-        assert_eq!(num(&stats, "model_entries"), 1, "{stats}");
+        assert_eq!(hits + misses, lookups, "{metrics}");
+        assert_eq!((hits, misses), (1, 1), "{metrics}");
+        assert_eq!(num(&metrics, "gauge_cache_model_entries"), 1, "{metrics}");
 
         // Model names match on lowercase alphanumerics: `gpt2` is GPT-2.
         let gpt = |name: &str| {
@@ -1752,59 +1652,6 @@ mod tests {
         let typed = gpt("gpt2");
         assert!(typed.contains("\"model\":\"GPT-2\""), "{typed}");
         assert_eq!(typed, gpt("GPT-2"));
-    }
-
-    /// The stats op reports per-window `since_*` deltas over its own
-    /// polling cadence, plus uptime relative to a caller-supplied origin.
-    #[test]
-    fn stats_op_windows_cache_deltas_between_polls() {
-        let cache = EngineCache::new();
-        let num = |resp: &str, field: &str| -> u64 {
-            let needle = format!("\"{field}\":");
-            let tail = &resp[resp.find(&needle).expect(field) + needle.len()..];
-            tail[..tail
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(tail.len())]
-                .parse()
-                .expect(field)
-        };
-        ask(
-            r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
-            &cache,
-        );
-        let (first, _) = ask(r#"{"id":2,"op":"stats"}"#, &cache);
-        assert_eq!(num(&first, "since_price_misses"), 1, "{first}");
-        assert_eq!(
-            num(&first, "since_price_lookups"),
-            num(&first, "price_lookups"),
-            "first window covers everything: {first}"
-        );
-        // Nothing between polls → an all-zero window, totals unchanged.
-        let (second, _) = ask(r#"{"id":3,"op":"stats"}"#, &cache);
-        assert_eq!(num(&second, "since_price_lookups"), 0, "{second}");
-        assert_eq!(
-            num(&second, "price_lookups"),
-            num(&first, "price_lookups"),
-            "{second}"
-        );
-        // A warm repeat lands one hit in the next window only.
-        ask(
-            r#"{"id":4,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
-            &cache,
-        );
-        let (third, _) = ask(r#"{"id":5,"op":"stats"}"#, &cache);
-        assert_eq!(num(&third, "since_price_hits"), 1, "{third}");
-        assert_eq!(num(&third, "since_price_misses"), 0, "{third}");
-        // Uptime subtracts the caller's monotonic origin, saturating.
-        let up = num(&third, "uptime_ms");
-        let far_future = 1u64 << 52; // ~143k years in ms, within the 2^53 field cap
-        let (offset, _) = ask(
-            &format!(r#"{{"id":6,"op":"stats","origin":{far_future}}}"#),
-            &cache,
-        );
-        assert_eq!(num(&offset, "uptime_ms"), 0, "{offset}");
-        let (rel, _) = ask(r#"{"id":7,"op":"stats","origin":0}"#, &cache);
-        assert!(num(&rel, "uptime_ms") >= up, "{rel}");
     }
 
     /// The metrics op snapshots the serving cache's own registry — its
@@ -1906,7 +1753,7 @@ mod tests {
         // Without extensions the built-in op list is pinned.
         let (plain, _) = handle_request(r#"{"id":4,"op":"warp"}"#, &cache, &NoOps);
         assert!(
-            plain[0].contains("(expected engine|layer|metrics|model|roster|stats|shutdown)"),
+            plain[0].contains("(expected engine|layer|metrics|model|roster|shutdown)"),
             "{plain:?}"
         );
     }
@@ -1969,10 +1816,10 @@ mod tests {
         let cache = EngineCache::new();
         let class =
             |line: &str| handle_request_classified(line, &cache, &NoOps, CycleModel::Sampled).2;
-        let stats_idx = COUNTED_OPS.iter().position(|o| *o == "stats").unwrap();
+        let roster_idx = COUNTED_OPS.iter().position(|o| *o == "roster").unwrap();
         assert_eq!(
-            class(r#"{"id":1,"op":"stats"}"#),
-            RequestClass::Counted(stats_idx)
+            class(r#"{"id":1,"op":"roster"}"#),
+            RequestClass::Counted(roster_idx)
         );
         assert_eq!(class(r#"{"id":1,"op":"nope"}"#), RequestClass::Other);
         assert_eq!(class(r#"{"id":1}"#), RequestClass::Other);
@@ -1992,10 +1839,10 @@ mod tests {
         // record_class ticks exactly the counters record_op used to.
         let registry = Registry::new();
         let obs = ServeObs::in_registry(&registry);
-        obs.record_class(RequestClass::Counted(stats_idx));
+        obs.record_class(RequestClass::Counted(roster_idx));
         obs.record_class(RequestClass::Other);
         obs.record_class(RequestClass::Malformed);
-        assert_eq!(obs.op_requests[stats_idx].get(), 1);
+        assert_eq!(obs.op_requests[roster_idx].get(), 1);
         assert_eq!(obs.other_requests.get(), 2, "malformed counts as other");
         assert_eq!(obs.parse_errors.get(), 1);
     }

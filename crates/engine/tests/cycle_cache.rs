@@ -3,7 +3,7 @@
 //! for the same (engine, layer) never cross-contaminate — they occupy two
 //! distinct cache entries — while the analytic key canonicalizes the seed
 //! and sampling budgets away (the closed form depends on neither), so
-//! analytic re-queries hit regardless of seed. The serve `stats` op keeps
+//! analytic re-queries hit regardless of seed. The serve `metrics` op keeps
 //! exposing the `hits + misses == lookups` accounting invariant across
 //! both modes, and a cold analytic run records into the
 //! `eval_serial_analytic_ns` histogram that joins the sampled path's
@@ -86,13 +86,13 @@ fn analytic_entries_are_seed_canonicalized() {
     assert_eq!(cache.cycles_len(), 1, "one canonical entry");
 }
 
-/// The serve `stats` op still certifies `hits + misses == lookups` after
+/// The serve `metrics` op still certifies `hits + misses == lookups` after
 /// a mixed sampled/analytic request stream (the analytic request carries
 /// `"cycle_model":"analytic"`, which is what a server-level default
 /// injects), the analytic replies echo their mode, and sampled replies
 /// stay byte-identical to a server that has never heard of cycle models.
 #[test]
-fn stats_op_invariant_holds_across_modes() {
+fn metrics_op_invariant_holds_across_modes() {
     let cache: &'static EngineCache = Box::leak(Box::new(EngineCache::new()));
     let layer_req =
         r#"{"id":1,"op":"layer","engine":"OPT4E[EN-T]","m":48,"n":192,"k":96,"seed":7}"#;
@@ -110,13 +110,14 @@ fn stats_op_invariant_holds_across_modes() {
         "sampled replies must stay byte-identical to the pre-mode protocol: {}",
         sampled[0]
     );
-    let (stats, _) = handle_request(r#"{"id":2,"op":"stats"}"#, cache, &NoOps);
-    let reply = &stats[0];
-    let hits = field_u64(reply, "price_hits") + field_u64(reply, "cycle_hits");
-    let misses = field_u64(reply, "price_misses") + field_u64(reply, "cycle_misses");
-    let lookups = field_u64(reply, "price_lookups") + field_u64(reply, "cycle_lookups");
-    assert_eq!(hits + misses, lookups, "stats op invariant: {reply}");
-    assert_eq!(field_u64(reply, "cycle_misses"), 2, "one per mode: {reply}");
+    let (metrics, _) = handle_request(r#"{"id":2,"op":"metrics"}"#, cache, &NoOps);
+    let reply = &metrics[0];
+    let ctr = |name: &str| field_u64(reply, &format!("ctr_cache_{name}"));
+    let hits = ctr("price_hits") + ctr("cycle_hits");
+    let misses = ctr("price_misses") + ctr("cycle_misses");
+    let lookups = ctr("price_lookups") + ctr("cycle_lookups");
+    assert_eq!(hits + misses, lookups, "metrics op invariant: {reply}");
+    assert_eq!(ctr("cycle_misses"), 2, "one per mode: {reply}");
 }
 
 /// A cold analytic evaluation records into `eval_serial_analytic_ns`

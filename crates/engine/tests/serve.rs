@@ -197,11 +197,12 @@ fn field_u64(reply: &str, key: &str) -> u64 {
 /// 4-client load, with two servers over two fresh caches running at the
 /// same time. Metrics belong to the cache, so each server's own `metrics`
 /// reply carries exact per-op counts and one queue-wait and one eval
-/// record per request it answered (plus the poll's own queue wait) — the
-/// other server's traffic never lands in them — and `stats` and `metrics`
-/// agree on every `cache_*` counter (they read the same atomics). After
-/// shutdown the cache's registry accounts for every pool-processed
-/// request exactly once and the in-flight gauge is zero.
+/// record per request it answered — the other server's traffic never
+/// lands in them — and every `ctr_cache_*` map balances
+/// `hits + misses == lookups`, reading the same atomics as
+/// `EngineCache::stats`. After shutdown the cache's registry accounts for
+/// every pool-processed request exactly once and the in-flight gauge is
+/// zero.
 #[test]
 fn observability_counters_stay_consistent_under_concurrent_load() {
     let servers: Vec<_> = (0..2)
@@ -226,15 +227,10 @@ fn observability_counters_stay_consistent_under_concurrent_load() {
     for (cache, (addr, handle)) in servers {
         // Workers record metrics *before* replying, so with all 48 client
         // replies read, a metrics poll covers exactly them (a metrics
-        // response never includes its own request). One poll per
-        // connection: pipelined, two workers could answer in either order.
-        let poll = |line: &str| {
-            query_batch(&addr, &[line.to_string()])
-                .expect("poll")
-                .remove(0)
-        };
-        let metrics = &poll(r#"{"id":1,"op":"metrics"}"#);
-        let stats = &poll(r#"{"id":2,"op":"stats"}"#);
+        // response never includes its own request).
+        let metrics = &query_batch(&addr, &[r#"{"id":1,"op":"metrics"}"#.to_string()])
+            .expect("poll")
+            .remove(0);
         for (name, want) in [
             ("ctr_serve_op_engine", 4 * 3),
             ("ctr_serve_op_layer", 4 * 6),
@@ -243,8 +239,7 @@ fn observability_counters_stay_consistent_under_concurrent_load() {
             ("ctr_serve_op_other", 0),
             ("ctr_serve_parse_errors", 0),
             ("hist_serve_eval_ns_count", requests),
-            // Queue wait records at pickup, so the poll's own wait is in.
-            ("hist_serve_queue_wait_ns_count", requests + 1),
+            ("hist_serve_queue_wait_ns_count", requests),
             // Only the poll itself is in flight.
             ("gauge_serve_inflight", 1),
             // 4 client connections + this poll's.
@@ -252,30 +247,50 @@ fn observability_counters_stay_consistent_under_concurrent_load() {
         ] {
             assert_eq!(field_u64(metrics, name), want, "{name}: {metrics}");
         }
-        // One source of truth: `stats` and `metrics` read the same cache
-        // counters (neither poll looks anything up, and the clients are
-        // done).
-        for kind in ["price", "cycle", "model"] {
-            for what in ["hits", "misses", "lookups"] {
-                let name = format!("{kind}_{what}");
-                let ctr = field_u64(metrics, &format!("ctr_cache_{name}"));
-                assert_eq!(ctr, field_u64(stats, &name), "{name}: {metrics} vs {stats}");
-            }
-            let stat = |what: &str| field_u64(stats, &format!("{kind}_{what}"));
-            assert_eq!(stat("lookups"), stat("hits") + stat("misses"), "{stats}");
+        // One source of truth: the wire counters are the cache's own
+        // (the poll looks nothing up, and the clients are done), and
+        // every map balances.
+        let stats = cache.stats();
+        for (kind, hits, misses, lookups) in [
+            (
+                "price",
+                stats.price_hits,
+                stats.price_misses,
+                stats.price_lookups,
+            ),
+            (
+                "cycle",
+                stats.cycle_hits,
+                stats.cycle_misses,
+                stats.cycle_lookups,
+            ),
+            (
+                "model",
+                stats.model_hits,
+                stats.model_misses,
+                stats.model_lookups,
+            ),
+        ] {
+            let ctr = |what: &str| field_u64(metrics, &format!("ctr_cache_{kind}_{what}"));
+            assert_eq!(
+                (ctr("hits"), ctr("misses"), ctr("lookups")),
+                (hits, misses, lookups),
+                "{kind}: {metrics}"
+            );
+            assert_eq!(ctr("lookups"), ctr("hits") + ctr("misses"), "{metrics}");
         }
-        assert!(field_u64(stats, "price_lookups") > 0, "{stats}");
+        assert!(stats.price_lookups > 0, "{metrics}");
 
         shutdown(&addr);
         handle.join().unwrap().expect("serve loop");
-        // Quiescent: the 48 client requests, both polls and the shutdown
+        // Quiescent: the 48 client requests, the poll and the shutdown
         // went through the pool, each classified into exactly one op
         // counter and recorded in both latency histograms.
         let snap = cache.registry().snapshot();
-        let total = requests + 3;
+        let total = requests + 2;
         let ops = snap.counters().filter(|(n, _)| n.starts_with("serve_op_"));
         assert_eq!(ops.map(|(_, v)| v).sum::<u64>(), total);
-        for op in ["metrics", "stats", "shutdown"] {
+        for op in ["metrics", "shutdown"] {
             assert_eq!(snap.counter(&format!("serve_op_{op}")), Some(1), "{op}");
         }
         for hist in ["serve_queue_wait_ns", "serve_eval_ns"] {
@@ -286,8 +301,8 @@ fn observability_counters_stay_consistent_under_concurrent_load() {
             Some(0),
             "in-flight returns to 0"
         );
-        // 4 client connections + the two polls + the shutdown.
-        assert_eq!(snap.counter("serve_connections"), Some(7));
+        // 4 client connections + the poll + the shutdown.
+        assert_eq!(snap.counter("serve_connections"), Some(6));
     }
 }
 
