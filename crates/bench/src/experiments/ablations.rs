@@ -120,15 +120,11 @@ pub fn ablate_group() -> String {
 /// cycles proportionally, on top of digit sparsity.
 pub fn ablate_operand_selection() -> String {
     use tpe_core::arch::workload::cycles_per_mac_with_zeros;
-    use tpe_core::arch::ArchModel;
-    let arch = ArchModel::table7_ours()
-        .into_iter()
-        .find(|a| a.name == "OPT4E")
-        .expect("OPT4E");
-    let dense = cycles_per_mac_with_zeros(&arch, 0.0, 42);
+    let cfg = tpe_sim::BitsliceConfig::opt4e();
+    let dense = cycles_per_mac_with_zeros(&cfg, 0.0, 42);
     let mut t = Table::new(["zero fraction", "cycles/MAC", "speedup vs dense operand"]);
     for z in [0.0, 0.2, 0.4, 0.5, 0.6, 0.8] {
-        let c = cycles_per_mac_with_zeros(&arch, z, 42);
+        let c = cycles_per_mac_with_zeros(&cfg, z, 42);
         t.row([
             format!("{z:.1}"),
             format!("{c:.2}"),

@@ -195,8 +195,9 @@ fn try_dse(args: &[String]) -> Result<String, String> {
     // `--model all` (or any matching substring) swaps the workload axis
     // for whole networks: the front becomes model-level. `slice_space` is
     // shared with the serve `sweep`/`pareto` ops, so a filter addresses
-    // the same points over the wire as here.
-    let mut space = tpe_dse::slice_space(opts.model.as_deref())?;
+    // the same points over the wire as here; `--memory` replaces the
+    // memory axis the filter's `memory=` terms select.
+    let mut space = tpe_dse::slice_space(opts.model.as_deref(), &opts.filter)?;
     if let Some(precisions) = &opts.precisions {
         space.precisions = precisions.clone();
     }

@@ -14,8 +14,8 @@
 use std::fmt::Write as _;
 
 use tpe_dse::emit::{model_csv, model_json};
-use tpe_engine::{CycleModel, SerialSampleCaps};
-use tpe_pipeline::{run_grid, EngineSpec, GridConfig, ModelRun};
+use tpe_engine::{CycleModel, EngineSpec, SerialSampleCaps};
+use tpe_pipeline::{run_grid, GridConfig, ModelRun};
 use tpe_workloads::NetworkModel;
 
 /// Parsed CLI options for the model grid.

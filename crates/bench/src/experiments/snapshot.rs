@@ -85,7 +85,7 @@ fn try_snapshot_smoke(args: &[String]) -> Result<String, String> {
     }
     let out_json = values[3].clone();
 
-    let points = tpe_dse::slice_space(None)?.enumerate_filtered(&filter);
+    let points = tpe_dse::slice_space(None, &filter)?.enumerate_filtered(&filter);
     if points.is_empty() {
         return Err(format!("no design points match filter `{filter}`"));
     }

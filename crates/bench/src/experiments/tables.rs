@@ -2,7 +2,6 @@
 
 use tpe_arith::encode::EncodingKind;
 use tpe_core::analytic::numpps;
-use tpe_core::arch::Table7Row;
 use tpe_core::baselines;
 use tpe_cost::anchors;
 use tpe_cost::components::Component;
@@ -195,45 +194,6 @@ pub fn table5() -> String {
     )
 }
 
-/// Display name Table VII (and the paper anchors) use for a roster engine:
-/// bare topology names for the MAC baselines, bare style names for the
-/// serial designs.
-fn table7_name(spec: &tpe_engine::EngineSpec) -> String {
-    use tpe_core::arch::{ArchKind, PeStyle};
-    match (spec.style, spec.kind) {
-        (PeStyle::TraditionalMac, ArchKind::Dense(arch)) => {
-            tpe_engine::classic_name(arch).to_string()
-        }
-        (_, ArchKind::Dense(_)) => spec.arch_label(),
-        (_, ArchKind::Serial) => spec.style.name().to_string(),
-    }
-}
-
-/// One Table VII row from the canonical engine price. Peak TOPS follows
-/// the table's convention — the paper's *measured* EN-T effective NumPPs
-/// (2.27, Table III) — rather than the analytic quantized-normal
-/// expectation the sweeps use, so the printed numbers stay comparable to
-/// the paper's column.
-fn table7_row(spec: &tpe_engine::EngineSpec) -> Table7Row {
-    use tpe_core::arch::array::EFFECTIVE_NUMPPS_NORMAL;
-    let price = tpe_engine::Evaluator::new(tpe_engine::EngineCache::global())
-        .price(spec)
-        .unwrap_or_else(|| panic!("{} cannot close timing", spec.label()));
-    let raw_tops = price.lanes_total * 2.0 * spec.freq_ghz * 1e9 / 1e12;
-    let peak_tops = if spec.style.is_serial() {
-        raw_tops / EFFECTIVE_NUMPPS_NORMAL
-    } else {
-        raw_tops
-    };
-    Table7Row {
-        name: table7_name(spec),
-        freq_mhz: spec.freq_ghz * 1e3,
-        area_um2: price.area_um2,
-        power_w: price.table7_power_w(spec.freq_ghz),
-        peak_tops,
-    }
-}
-
 /// Table VII: array-level comparison, model vs paper. Rows price through
 /// the `tpe-engine` roster and evaluator — the same cached path every
 /// sweep, grid and serve query uses.
@@ -259,7 +219,7 @@ pub fn table7() -> String {
     };
     let mut dense_ae: Vec<(String, f64, f64)> = Vec::new();
     for spec in tpe_engine::roster::paper_roster() {
-        let row = table7_row(&spec);
+        let row = tpe_engine::roster::table7_row(&spec);
         let p = paper_for(&row.name);
         t.row([
             row.name.clone(),

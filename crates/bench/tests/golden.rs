@@ -280,6 +280,25 @@ fn table7_roster_prices_are_bit_identical_to_snapshot() {
     }
 }
 
+/// The paper's headline tables as the program prints them:
+/// `golden/paper_figures.txt` holds the output of `table7()`,
+/// `fig11("gpt2")`, `fig11("mobilenetv3")` and
+/// `ablate_operand_selection()`, concatenated, generated while a second
+/// Table VII assembly and figure evaluator still lived in `tpe-core`. Every
+/// number in it now runs through `tpe-engine`.
+#[test]
+fn paper_figures_match_pinned_output() {
+    use tpe_bench::experiments as exp;
+    let actual = [
+        exp::table7(),
+        exp::fig11("gpt2"),
+        exp::fig11("mobilenetv3"),
+        exp::ablate_operand_selection(),
+    ]
+    .concat();
+    assert_lines_identical(&actual, &golden("paper_figures.txt"), "paper figures");
+}
+
 /// Every served reply, byte for byte: `golden/serve_replies.ndjson` holds
 /// each request line followed by its reply lines, answered through
 /// `handle_request` with the `sweep`/`pareto`/`fleet` ops on one fresh

@@ -39,7 +39,7 @@ fn string_field(line: &str, key: &str) -> String {
 /// The `repro dse` reference CSV for the slice: filtered enumeration,
 /// 1-thread sweep, per-workload front over the default objectives.
 fn reference_csv() -> String {
-    let points = tpe_dse::slice_space(None)
+    let points = tpe_dse::slice_space(None, FILTER)
         .unwrap()
         .enumerate_filtered(FILTER);
     assert_eq!(points.len(), 21, "slice shape changed");

@@ -1,8 +1,10 @@
-//! Array-level assembly: PEs + SIMD vector core + shared row logic →
-//! Table VII rows (area, power, peak TOPS, efficiencies).
+//! Array-level cost terms: the support logic outside the PEs, the
+//! interconnect overhead and the peak-throughput divisor that turn a PE
+//! design into a Table VII row (assembled by `tpe-engine`'s price).
 
 use super::designs::PeStyle;
-use super::ArchModel;
+use tpe_arith::encode::EncodingKind;
+use tpe_arith::Precision;
 use tpe_cost::components::Component;
 
 /// Effective average NumPPs of EN-T-encoded normally distributed INT8
@@ -16,230 +18,49 @@ pub const EFFECTIVE_NUMPPS_NORMAL: f64 = 2.27;
 /// essentially PE array + support only.
 pub const ARRAY_OVERHEAD_FRAC: f64 = 0.02;
 
-/// One assembled Table VII row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table7Row {
-    /// Design label.
-    pub name: String,
-    /// Clock in MHz.
-    pub freq_mhz: f64,
-    /// Total array area (µm²).
-    pub area_um2: f64,
-    /// Total power (W) under dense normally-distributed GEMM.
-    pub power_w: f64,
-    /// Peak performance (TOPS, 2 ops per MAC).
-    pub peak_tops: f64,
-}
-
-impl Table7Row {
-    /// Energy efficiency in TOPS/W.
-    pub fn energy_efficiency(&self) -> f64 {
-        self.peak_tops / self.power_w
-    }
-
-    /// Area efficiency in TOPS/mm².
-    pub fn area_efficiency(&self) -> f64 {
-        self.peak_tops / (self.area_um2 / 1e6)
-    }
-}
-
-/// Assembles array-level cost from an [`ArchModel`].
-#[derive(Debug, Clone)]
-pub struct ArrayModel {
-    arch: ArchModel,
-}
-
-impl ArrayModel {
-    /// Wraps an architecture.
-    pub fn new(arch: ArchModel) -> Self {
-        Self { arch }
-    }
-
-    /// The wrapped architecture.
-    pub fn arch(&self) -> &ArchModel {
-        &self.arch
-    }
-
-    /// Support logic outside the PEs, per the paper's figures:
-    ///
-    /// * OPT1/OPT2 relocate the full `add`/`shift` into a SIMD vector core
-    ///   of `⌈MP·NP/K⌉` lanes (§IV-A) — 32 lanes for a 32×32 array at
-    ///   K = 32.
-    /// * OPT4C/OPT4E share 2 encoders + sparse encoders per PE column and
-    ///   add B-prefetch address logic (§IV-D).
-    /// * OPT3 keeps everything inside the PEs.
-    ///
-    /// The paper's designs stream EN-T digits; see
-    /// [`Self::support_area_um2_for`] for other encodings.
-    pub fn support_area_um2(&self) -> f64 {
-        self.support_area_um2_for(tpe_arith::encode::EncodingKind::EnT)
-    }
-
-    /// [`Self::support_area_um2`] with the shared digit recoders priced
-    /// for `encoding` (only OPT4C/OPT4E carry encoding-dependent support
-    /// hardware; see [`super::designs::encoder_component`]).
-    pub fn support_area_um2_for(&self, encoding: tpe_arith::encode::EncodingKind) -> f64 {
-        self.support_area_um2_with(encoding, tpe_arith::Precision::W8)
-    }
-
-    /// [`Self::support_area_um2_for`] at an arbitrary operand precision:
-    /// the SIMD vector-core lanes resolve at the accumulator width and the
-    /// OPT4 shared encoders/sparse encoders cover the multiplicand's digit
-    /// slots, so support logic scales with precision just like the PEs.
-    pub fn support_area_um2_with(
-        &self,
-        encoding: tpe_arith::encode::EncodingKind,
-        precision: tpe_arith::Precision,
-    ) -> f64 {
-        let rows = (self.arch.pe_instances as f64).sqrt().round() as u32;
-        let simd_lane = Component::SimdLane {
+/// Area (µm², SMIC 28 nm) of the support logic outside `pe_instances`
+/// PEs of `style`, per the paper's figures:
+///
+/// * OPT1/OPT2 relocate the full `add`/`shift` into a SIMD vector core
+///   of `⌈MP·NP/K⌉` lanes (§IV-A) — 32 lanes for a 32×32 array at
+///   K = 32. OPT3 carries the same SIMD core and keeps everything else
+///   inside the PEs.
+/// * OPT4C/OPT4E share 2 encoders + sparse encoders per PE row and add
+///   B-prefetch address logic (§IV-D); the shared recoders are priced for
+///   `encoding` (see [`super::designs::encoder_component_for`]).
+///
+/// The SIMD lanes resolve at the accumulator width and the OPT4 shared
+/// encoders cover the multiplicand's digit slots, so support logic scales
+/// with `precision` just like the PEs.
+pub fn support_area_um2(
+    style: PeStyle,
+    pe_instances: usize,
+    encoding: EncodingKind,
+    precision: Precision,
+) -> f64 {
+    let simd = || {
+        let lane = Component::SimdLane {
             width: precision.acc_bits,
         }
         .cost()
         .area_um2;
-        match self.arch.style {
-            PeStyle::TraditionalMac => 0.0,
-            PeStyle::Opt1 | PeStyle::Opt2 => {
-                let lanes = self.arch.pe_instances.div_ceil(32) as f64;
-                lanes * simd_lane
-            }
-            PeStyle::Opt3 => {
-                let lanes = self.arch.pe_instances.div_ceil(32) as f64;
-                lanes * simd_lane
-            }
-            PeStyle::Opt4C | PeStyle::Opt4E => {
-                let enc = super::designs::encoder_component_for(encoding, precision.a_bits)
-                    .cost()
-                    .area_um2
-                    + Component::SparseEncoder {
-                        digits: precision.digits(),
-                    }
-                    .cost()
-                    .area_um2;
-                let prefetch = 40.0; // address generation + B staging per row
-                let simd = self.arch.pe_instances.div_ceil(32) as f64 * simd_lane;
-                f64::from(rows) * (2.0 * enc + prefetch) + simd
-            }
+        pe_instances.div_ceil(32) as f64 * lane
+    };
+    match style {
+        PeStyle::TraditionalMac => 0.0,
+        PeStyle::Opt1 | PeStyle::Opt2 | PeStyle::Opt3 => simd(),
+        PeStyle::Opt4C | PeStyle::Opt4E => {
+            let rows = (pe_instances as f64).sqrt().round() as u32;
+            let enc = super::designs::encoder_component_for(encoding, precision.a_bits)
+                .cost()
+                .area_um2
+                + Component::SparseEncoder {
+                    digits: precision.digits(),
+                }
+                .cost()
+                .area_um2;
+            let prefetch = 40.0; // address generation + B staging per row
+            f64::from(rows) * (2.0 * enc + prefetch) + simd()
         }
-    }
-
-    /// Peak TOPS: dense designs deliver 2 ops/lane/cycle; serial designs
-    /// divide by the effective NumPPs of the encoding.
-    pub fn peak_tops(&self) -> f64 {
-        let lanes = self.arch.lanes() as f64;
-        let raw = lanes * 2.0 * self.arch.freq_ghz * 1e9 / 1e12;
-        if self.arch.style.is_serial() {
-            raw / EFFECTIVE_NUMPPS_NORMAL
-        } else {
-            raw
-        }
-    }
-
-    /// Assembles the Table VII row at the architecture's paper frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PE design cannot close timing at that frequency.
-    pub fn table7_row(&self) -> Table7Row {
-        let pe = self
-            .arch
-            .pe_design()
-            .synthesize(self.arch.freq_ghz)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{} cannot close timing at {} GHz",
-                    self.arch.name, self.arch.freq_ghz
-                )
-            });
-        let pes = self.arch.pe_instances as f64;
-        let area = (pe.area_um2 * pes + self.support_area_um2()) * (1.0 + ARRAY_OVERHEAD_FRAC);
-        // Dense sweeps keep every PE busy; serial designs toggle the
-        // datapath every cycle too (they only skip *zero* digits).
-        let pe_power_uw = pe.busy_power_uw();
-        let power_w = pe_power_uw * pes * 1e-6 * (1.0 + ARRAY_OVERHEAD_FRAC);
-        Table7Row {
-            name: self.arch.name.clone(),
-            freq_mhz: self.arch.freq_ghz * 1e3,
-            area_um2: area,
-            power_w,
-            peak_tops: self.peak_tops(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tpe_cost::anchors;
-
-    fn row(name: &str) -> Table7Row {
-        let arch = ArchModel::table7_ours()
-            .into_iter()
-            .chain(ArchModel::table7_baselines())
-            .find(|a| a.name == name)
-            .unwrap();
-        ArrayModel::new(arch).table7_row()
-    }
-
-    /// The assembled TPU row lands near the paper's area and power.
-    #[test]
-    fn tpu_row_matches_paper_scale() {
-        let r = row("TPU");
-        let paper = &anchors::TABLE7_OTHERS[0];
-        assert!(
-            (r.area_um2 - paper.area_um2).abs() / paper.area_um2 < 0.12,
-            "area {} vs paper {}",
-            r.area_um2,
-            paper.area_um2
-        );
-        assert!(
-            (r.power_w - paper.power_w).abs() / paper.power_w < 0.30,
-            "power {} vs paper {}",
-            r.power_w,
-            paper.power_w
-        );
-        assert!((r.peak_tops - 2.05).abs() < 0.01);
-    }
-
-    /// Peak TOPS reproduce Table VII exactly (they are frequency × lanes
-    /// arithmetic).
-    #[test]
-    fn peak_tops_match_table7() {
-        assert!((row("OPT1(TPU)").peak_tops - 3.07).abs() < 0.01);
-        assert!((row("OPT3").peak_tops - 1.80).abs() < 0.02);
-        assert!((row("OPT4C").peak_tops - 2.25).abs() < 0.03);
-        assert!((row("OPT4E").peak_tops - 7.22).abs() < 0.08);
-    }
-
-    /// The paper's headline ratios, reproduced in shape: OPT1 improves
-    /// area efficiency over every dense baseline it retrofits.
-    #[test]
-    fn opt1_improves_area_efficiency() {
-        for (base, opt) in [
-            ("TPU", "OPT1(TPU)"),
-            ("Ascend", "OPT1(Ascend)"),
-            ("Trapezoid", "OPT1(Trapezoid)"),
-            ("FlexFlow", "OPT1(FlexFlow)"),
-        ] {
-            let b = row(base);
-            let o = row(opt);
-            let ratio = o.area_efficiency() / b.area_efficiency();
-            assert!(
-                ratio > 1.1,
-                "{opt} AE ratio {ratio:.2} should exceed 1.1 (paper: 1.27–1.56)"
-            );
-        }
-    }
-
-    /// OPT4E delivers the highest area efficiency of the serial designs —
-    /// the computational-density claim of §V-C.
-    #[test]
-    fn opt4e_is_densest_serial_design() {
-        let o3 = row("OPT3");
-        let o4c = row("OPT4C");
-        let o4e = row("OPT4E");
-        assert!(o4c.area_efficiency() > o3.area_efficiency());
-        assert!(o4e.area_efficiency() > o3.area_efficiency());
-        assert!(o4e.peak_tops > 3.0 * o3.peak_tops);
     }
 }

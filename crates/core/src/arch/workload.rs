@@ -1,5 +1,6 @@
-//! Workload-level evaluation: per-layer delay / utilization / energy for
-//! the Figure 11–13 comparisons (OPT4E vs an equal-area parallel-MAC TPE).
+//! Workload-level cycle models: the statistical serial-layer model behind
+//! every serial engine's cycles, and the dense parallel-MAC baseline of
+//! the Figure 11–13 comparisons (assembled in `tpe-engine`).
 //!
 //! ## Layer mapping model
 //!
@@ -19,7 +20,6 @@
 //! is [`tpe_sim::BitsliceArray`], validated separately.
 
 use super::designs::PeStyle;
-use super::{ArchKind, ArchModel};
 use crate::memo::Memo;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -181,73 +181,6 @@ pub fn effective_numpps_at(encoder: &dyn Encoder, a_bits: u32) -> f64 {
         / total
 }
 
-/// Result of running one layer on one architecture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerResult {
-    /// Layer label.
-    pub name: String,
-    /// Wall-clock delay in microseconds.
-    pub delay_us: f64,
-    /// Average column-PE utilization (busy fraction).
-    pub utilization: f64,
-    /// Busy fraction of the fastest column.
-    pub busy_min: f64,
-    /// Busy fraction of the slowest column.
-    pub busy_max: f64,
-    /// Energy in microjoules.
-    pub energy_uj: f64,
-}
-
-/// Runs a layer on a serial (bit-slice) architecture with synthetic
-/// normally-distributed INT8 multiplicands.
-///
-/// # Panics
-///
-/// Panics if the architecture is not serial or cannot close timing.
-pub fn serial_layer(arch: &ArchModel, layer: &LayerShape, seed: u64) -> LayerResult {
-    assert!(
-        matches!(arch.kind, ArchKind::Serial),
-        "serial architectures only"
-    );
-    let cfg = arch.bitslice_config();
-    let pe = arch.pe_design().synthesize(arch.freq_ghz).expect("timing");
-    let encoder = cfg.encoding.encoder();
-
-    let stats = sample_serial_cycles(
-        &cfg,
-        encoder.as_ref(),
-        8,
-        layer,
-        seed,
-        SerialSampleCaps::default(),
-    );
-    let (cycles, busy) = (stats.cycles, stats.busy);
-
-    let delay_us = cycles / (arch.freq_ghz * 1e3);
-    let busy_total: f64 = busy.iter().sum();
-    let utilization = busy_total / (cycles * cfg.mp as f64);
-
-    // Energy: busy columns switch their NP PE instances; idle (waiting)
-    // columns are clock-gated (§VI: early finishers "enter an idle state,
-    // saving power").
-    let pes_per_column = cfg.np as f64;
-    let e_busy_fj = pe.busy_power_uw() / arch.freq_ghz; // per PE instance-cycle
-    let e_idle_fj = pe.idle_power_uw() / arch.freq_ghz;
-    let idle_total = cycles * cfg.mp as f64 - busy_total;
-    let energy_uj = (busy_total * e_busy_fj + idle_total * e_idle_fj) * pes_per_column * 1e-9;
-
-    let busy_max = busy.iter().cloned().fold(0.0, f64::max);
-    let busy_min = busy.iter().cloned().fold(f64::INFINITY, f64::min);
-    LayerResult {
-        name: layer.name.clone(),
-        delay_us,
-        utilization,
-        busy_min: busy_min / cycles,
-        busy_max: busy_max / cycles,
-        energy_uj,
-    }
-}
-
 /// Sampled cycle/busy statistics of a serial layer (already rescaled to
 /// the full layer).
 #[derive(Debug, Clone, PartialEq)]
@@ -269,10 +202,10 @@ impl SerialCycleStats {
     }
 }
 
-/// The statistical serial-layer model shared by [`serial_layer`] and the
-/// `tpe-dse` sweep: maps the layer onto `cfg`'s columns, samples per-column
-/// digit sums round by round from the categorical digit-count distribution
-/// of quantized-normal `a_bits`-wide operands under `encoder`, and applies
+/// The statistical serial-layer model (the Monte-Carlo oracle): maps the
+/// layer onto `cfg`'s columns, samples per-column digit sums round by
+/// round from the categorical digit-count distribution of
+/// quantized-normal `a_bits`-wide operands under `encoder`, and applies
 /// the `sync` barrier (the slowest column bounds each round, Eq. 7).
 ///
 /// `a_bits` is the encoded-multiplicand width — the precision axis's only
@@ -503,7 +436,8 @@ pub fn analytic_serial_cycles(
 
 /// Evaluates the serial-cycle statistics with the backend selected by
 /// `caps.model`: the Monte-Carlo oracle or the closed-form path. This is
-/// the single dispatch point the engine's cached evaluation goes through.
+/// the single dispatch point: the engine's cached evaluation (every
+/// serial-cycle miss, per layer or per model walk) goes through it.
 pub fn serial_cycle_stats(
     cfg: &BitsliceConfig,
     encoder: &dyn Encoder,
@@ -518,10 +452,19 @@ pub fn serial_cycle_stats(
     }
 }
 
+/// Delay and energy of one layer on the dense parallel-MAC baseline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DenseLayer {
+    /// Wall-clock delay in microseconds.
+    pub delay_us: f64,
+    /// Energy in microjoules.
+    pub energy_uj: f64,
+}
+
 /// Runs a layer on a dense parallel-MAC systolic array (the Figure 11
 /// baseline), with `lane_scale` extra lanes for area equalization
 /// (`lane_scale = 1.0` means the plain 32×32 array).
-pub fn dense_layer(layer: &LayerShape, freq_ghz: f64, lane_scale: f64) -> LayerResult {
+pub fn dense_layer(layer: &LayerShape, freq_ghz: f64, lane_scale: f64) -> DenseLayer {
     let arr = SystolicArray::new(32, 32);
     // Weight-load stalls are included (the paper's Fig. 11 MAC-baseline
     // delay magnitudes imply a load-stalled systolic sweep; decode GEMVs
@@ -538,26 +481,10 @@ pub fn dense_layer(layer: &LayerShape, freq_ghz: f64, lane_scale: f64) -> LayerR
     let e_cycle_fj = pe.busy_power_uw() / freq_ghz;
     // Dense arrays clock every PE every cycle, useful or not.
     let energy_uj = cycles * 1024.0 * lane_scale * e_cycle_fj * 1e-9;
-    let useful = layer.macs() as f64;
-    let utilization = (useful / (cycles * 1024.0 * lane_scale)).min(1.0);
-    LayerResult {
-        name: layer.name.clone(),
+    DenseLayer {
         delay_us,
-        utilization,
-        busy_min: utilization,
-        busy_max: utilization,
         energy_uj,
     }
-}
-
-/// Area-equalization factor: how many MAC-array lanes fit in the target
-/// architecture's silicon (Figure 11/12 compare "a systolic array and the
-/// OPT4E architecture of the same area").
-pub fn equal_area_lane_scale(target: &ArchModel) -> f64 {
-    let target_row = super::ArrayModel::new(target.clone()).table7_row();
-    let mac = ArchModel::table7_baselines().remove(0);
-    let mac_row = super::ArrayModel::new(mac).table7_row();
-    target_row.area_um2 / mac_row.area_um2
 }
 
 /// Average serial cycles per MAC when the encoded operand stream contains
@@ -565,9 +492,8 @@ pub fn equal_area_lane_scale(target: &ArchModel) -> f64 {
 /// operand-selection lever: "prioritizing operands with high sparsity
 /// enhances acceleration". Zero operands are skipped entirely by the
 /// prefetcher (0 cycles).
-pub fn cycles_per_mac_with_zeros(arch: &ArchModel, zero_frac: f64, seed: u64) -> f64 {
+pub fn cycles_per_mac_with_zeros(cfg: &BitsliceConfig, zero_frac: f64, seed: u64) -> f64 {
     assert!((0.0..=1.0).contains(&zero_frac));
-    let cfg = arch.bitslice_config();
     let encoder = cfg.encoding.encoder();
     let cdf = digit_count_cdf(encoder.as_ref(), 8);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -587,53 +513,10 @@ pub fn cycles_per_mac_with_zeros(arch: &ArchModel, zero_frac: f64, seed: u64) ->
     total as f64 / samples as f64
 }
 
-/// Network-level summary for Figures 12–13.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkResult {
-    /// Network name.
-    pub name: String,
-    /// Speedup of the serial architecture over the equal-area MAC array.
-    pub speedup: f64,
-    /// Energy ratio (serial / MAC) — below 1.0 means savings.
-    pub energy_ratio: f64,
-    /// Average serial-array utilization across layers (weighted by delay).
-    pub utilization: f64,
-}
-
-/// Evaluates a whole network on `arch` vs the equal-area dense baseline.
-pub fn evaluate_network(
-    arch: &ArchModel,
-    net: &tpe_workloads::NetworkModel,
-    seed: u64,
-) -> NetworkResult {
-    let scale = equal_area_lane_scale(arch);
-    let mut serial_delay = 0.0;
-    let mut serial_energy = 0.0;
-    let mut dense_delay = 0.0;
-    let mut dense_energy = 0.0;
-    let mut util_weighted = 0.0;
-    for (i, layer) in net.layers.iter().enumerate() {
-        let s = serial_layer(arch, layer, seed + i as u64);
-        let d = dense_layer(layer, 1.0, scale);
-        util_weighted += s.utilization * s.delay_us;
-        serial_delay += s.delay_us;
-        serial_energy += s.energy_uj;
-        dense_delay += d.delay_us;
-        dense_energy += d.energy_uj;
-    }
-    NetworkResult {
-        name: net.name.clone(),
-        speedup: dense_delay / serial_delay,
-        energy_ratio: serial_energy / dense_energy,
-        utilization: util_weighted / serial_delay,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tpe_arith::encode::SignedDigit;
-    use tpe_workloads::models;
 
     /// Test encoder with a *deterministic* digit count: every operand
     /// produces exactly `D` non-zero digits. Each `D` needs a distinct
@@ -657,73 +540,6 @@ mod tests {
         }
     }
 
-    fn opt4e() -> ArchModel {
-        ArchModel::table7_ours()
-            .into_iter()
-            .find(|a| a.name == "OPT4E")
-            .unwrap()
-    }
-
-    /// GPT-2 linear sublayers (K ∈ {768, 3072}) keep OPT4E columns >95%
-    /// busy — Figure 11(A) reports 96.0–98.2%. Attention sublayers with
-    /// K = 64 sit lower.
-    #[test]
-    fn gpt2_sublayer_utilization_high() {
-        let arch = opt4e();
-        for layer in models::gpt2_decode_sublayers("L0", 1024) {
-            let r = serial_layer(&arch, &layer, 42);
-            let floor = if layer.k >= 512 { 0.95 } else { 0.85 };
-            assert!(
-                r.utilization > floor,
-                "{}: utilization {:.3} (K={})",
-                r.name,
-                r.utilization,
-                layer.k
-            );
-            assert!(r.busy_max * 1.0001 >= r.utilization && r.utilization >= r.busy_min * 0.9999);
-        }
-    }
-
-    /// MobileNetV3: DW layers (K = 9/25) utilize worse than wide PW layers
-    /// — the Figure 11(B) dip (92.3–94.7% vs 97.3–98.4%).
-    #[test]
-    fn mobilenet_dw_dips_below_pw() {
-        let arch = opt4e();
-        let net = models::mobilenet_v3();
-        let dw = net.layers.iter().find(|l| l.name == "b13-dw5x5").unwrap();
-        let pw = net.layers.iter().find(|l| l.name == "b13-pw-proj").unwrap();
-        let rd = serial_layer(&arch, dw, 7);
-        let rp = serial_layer(&arch, pw, 7);
-        assert!(
-            rd.utilization < rp.utilization,
-            "DW {:.3} should dip below PW {:.3}",
-            rd.utilization,
-            rp.utilization
-        );
-        assert!(
-            (0.85..0.97).contains(&rd.utilization),
-            "DW util {:.3}",
-            rd.utilization
-        );
-        assert!(rp.utilization > 0.95, "PW util {:.3}", rp.utilization);
-    }
-
-    /// The equal-area OPT4E beats the MAC array on a GPT-2 layer — the
-    /// Figure 13 speedup family (paper: ×2.16 for GPT-2 overall).
-    #[test]
-    fn opt4e_beats_equal_area_mac_on_gpt2_layer() {
-        let arch = opt4e();
-        let scale = equal_area_lane_scale(&arch);
-        let layer = &models::gpt2_decode_sublayers("L0", 1024)[4]; // fc1
-        let s = serial_layer(&arch, layer, 3);
-        let d = dense_layer(layer, 1.0, scale);
-        assert!(
-            d.delay_us / s.delay_us > 1.2,
-            "speedup {:.2} too small",
-            d.delay_us / s.delay_us
-        );
-    }
-
     /// Degenerate (deterministic) digit distributions make the analytic
     /// path *exactly* equal to the sampled oracle — zero tolerance. Two
     /// boundaries: single-digit operands (D = 1) and the max-width 8-digit
@@ -732,7 +548,7 @@ mod tests {
     /// same exact integer arithmetic in f64.
     #[test]
     fn degenerate_distributions_match_sampler_exactly() {
-        let cfg = opt4e().bitslice_config();
+        let cfg = BitsliceConfig::opt4e();
         let shapes = [
             LayerShape::new("sq", 64, 64, 64, 1),
             LayerShape::new("tiny-k", 96, 32, 9, 2),
@@ -801,8 +617,7 @@ mod tests {
     /// `analytic_serial_cycles` call, with utilization in (0, 1].
     #[test]
     fn analytic_dispatch_is_seed_independent() {
-        let arch = opt4e();
-        let cfg = arch.bitslice_config();
+        let cfg = BitsliceConfig::opt4e();
         let enc = cfg.encoding.encoder();
         let layer = LayerShape::new("probe", 64, 256, 128, 1);
         let caps = SerialSampleCaps {
@@ -828,15 +643,5 @@ mod tests {
         }
         assert_eq!(CycleModel::parse("monte-carlo"), None);
         assert_eq!(CycleModel::default(), CycleModel::Sampled);
-    }
-
-    /// Network evaluation produces sane aggregates.
-    #[test]
-    fn resnet18_network_eval() {
-        let arch = opt4e();
-        let r = evaluate_network(&arch, &models::resnet18(), 11);
-        assert!(r.speedup > 1.0, "speedup {}", r.speedup);
-        assert!(r.energy_ratio < 1.0, "energy ratio {}", r.energy_ratio);
-        assert!((0.5..=1.0).contains(&r.utilization));
     }
 }

@@ -16,9 +16,13 @@
 //!   (OPT1), converting BW from spatial to temporal and hoisting `shift`
 //!   (OPT2), sparse iteration over encoded digits (OPT3), and extracting
 //!   the shared encoder out of the PE array (OPT4).
-//! * [`arch`] — the five PE microarchitectures (baseline MAC, OPT1, OPT2,
-//!   OPT3, OPT4C, OPT4E) with their `tpe-cost` designs and array-level
-//!   assembly, reproducing Figure 9 and Table VII.
+//! * [`arch`] — the six PE microarchitectures (baseline MAC, OPT1, OPT2,
+//!   OPT3, OPT4C, OPT4E) with their `tpe-cost` designs (Figure 9), the
+//!   array-level cost terms Table VII's rows are assembled from (support
+//!   logic, interconnect overhead, peak-throughput divisor), and the
+//!   serial sync-cycle model (sampled oracle and closed form) with the
+//!   dense baseline of Figures 11–13. Engines, pricing and the figure
+//!   comparisons themselves live in `tpe-engine`.
 //! * [`analytic`] — the synchronization-time model of Eqs. 7–8 (binomial
 //!   `E[Tsync]`) and the NumPPs enumerations behind Tables II & III.
 //! * [`baselines`] — the published bit-slice accelerators the paper
@@ -33,5 +37,5 @@ pub mod baselines;
 pub mod memo;
 pub mod notation;
 
-pub use arch::{ArchKind, ArchModel};
+pub use arch::ArchKind;
 pub use notation::LoopNest;

@@ -312,7 +312,8 @@ mod tests {
     #[test]
     fn model_csv_and_json_render_the_grid() {
         use tpe_core::arch::PeStyle;
-        use tpe_pipeline::{run_grid, EngineSpec, GridConfig};
+        use tpe_engine::EngineSpec;
+        use tpe_pipeline::{run_grid, GridConfig};
         use tpe_sim::array::ClassicArch;
 
         let models = vec![tpe_workloads::models::resnet18()];

@@ -428,6 +428,22 @@ mod tests {
         }
     }
 
+    /// A `memory=<corner>` filter term selects that corner's points over
+    /// the wire, as `repro dse --filter memory=edge` does.
+    #[test]
+    fn pareto_slices_the_memory_axis_named_in_the_filter() {
+        let cache = EngineCache::new();
+        let req = r#"{"id":4,"op":"pareto","filter":"OPT4E,28nm@2.00,precision=w4,memory=edge"}"#;
+        let (lines, _) = ask(req, &cache);
+        assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
+        assert!(lines[0].contains("\"points\":35"), "{}", lines[0]);
+        assert!(lines.len() > 1, "front points must follow: {lines:?}");
+        for line in &lines[1..] {
+            assert!(line.contains("@W4@edge/"), "{line}");
+            assert!(line.contains(",W4,edge,"), "{line}");
+        }
+    }
+
     /// Whole-model slices work over the wire like `repro dse --model`.
     #[test]
     fn sweep_accepts_a_model_axis() {

@@ -12,7 +12,7 @@
 //! serial styles; OPT2's same-bit-weight trick needs FlexFlow's broadcast).
 
 use tpe_arith::encode::EncodingKind;
-use tpe_core::arch::{ArchKind, ArchModel, PeStyle};
+use tpe_core::arch::{ArchKind, PeStyle};
 use tpe_engine::{roster, EngineSpec, MemorySpec};
 use tpe_sim::array::ClassicArch;
 use tpe_workloads::{models, LayerShape};
@@ -91,11 +91,6 @@ impl DesignPoint {
     /// PE instances at the paper's array sizes (10×10×10 Cube, else 32×32).
     pub fn pe_instances(&self) -> usize {
         self.engine.pe_instances()
-    }
-
-    /// The equivalent `tpe-core` architecture model at this corner.
-    pub fn arch_model(&self) -> ArchModel {
-        self.engine.arch_model()
     }
 }
 
@@ -337,12 +332,31 @@ impl DesignSpace {
 /// default space (layer workloads + ResNet-18 end-to-end), `"all"`
 /// (case-insensitive) swaps the workload axis for every catalog network,
 /// and any other value selects networks by name substring.
-pub fn slice_space(model: Option<&str>) -> Result<DesignSpace, String> {
-    match model {
-        Some(name) if name.eq_ignore_ascii_case("all") => DesignSpace::with_models(""),
-        Some(name) => DesignSpace::with_models(name),
-        None => Ok(DesignSpace::paper_default()),
+///
+/// The memory axis comes from `filter`'s `memory=<name>` terms: each
+/// named corner is swept (in [`roster::memory_corners`] order), so a
+/// `memory=edge` slice finds the edge points. A filter without such a
+/// term keeps the default single `Unbounded` corner, and with it every
+/// historical slice and its point indices.
+pub fn slice_space(model: Option<&str>, filter: &str) -> Result<DesignSpace, String> {
+    let mut space = match model {
+        Some(name) if name.eq_ignore_ascii_case("all") => DesignSpace::with_models("")?,
+        Some(name) => DesignSpace::with_models(name)?,
+        None => DesignSpace::paper_default(),
+    };
+    let named: Vec<MemorySpec> = filter
+        .split(',')
+        .filter_map(|term| term.split_once('='))
+        .filter(|(key, _)| key.eq_ignore_ascii_case("memory"))
+        .filter_map(|(_, value)| roster::find_memory(value))
+        .collect();
+    if !named.is_empty() {
+        space.memories = roster::memory_corners()
+            .into_iter()
+            .filter(|m| named.contains(m))
+            .collect();
     }
+    Ok(space)
 }
 
 /// The default workload axis: one layer per utilization regime the paper
@@ -435,6 +449,25 @@ mod tests {
             .all(|p| p.style() == PeStyle::Opt3 && p.precision() == Precision::W4));
         // An unparsable precision term matches nothing.
         assert!(space.enumerate_filtered("precision=w99").is_empty());
+    }
+
+    /// A slice's memory axis is the corners its filter names; without a
+    /// `memory=` term it stays the single unbounded corner.
+    #[test]
+    fn slice_space_takes_the_memory_axis_from_the_filter() {
+        let names = |filter: &str| -> Vec<&'static str> {
+            let space = slice_space(None, filter).unwrap();
+            space.memories.iter().map(|m| m.name).collect()
+        };
+        assert_eq!(names(""), ["unbounded"]);
+        assert_eq!(names("OPT4E,precision=w4"), ["unbounded"]);
+        assert_eq!(names("OPT4E,MEMORY=edge"), ["edge"]);
+        assert_eq!(names("memory=hbm,memory=edge"), ["edge", "hbm"]);
+        assert_eq!(names("memory=no-such-corner"), ["unbounded"]);
+        let edge = slice_space(None, "memory=edge")
+            .unwrap()
+            .enumerate_filtered("memory=edge");
+        assert_eq!(edge.len(), DesignSpace::paper_default().enumerate().len());
     }
 
     /// The memory axis sweeps like any other: the default space carries

@@ -141,7 +141,7 @@ pub fn evaluate_slice_shard(
     cycle_model: CycleModel,
     shard: Option<&crate::shard::ShardSpec>,
 ) -> Result<Vec<(usize, PointResult)>, String> {
-    let space = crate::space::slice_space(model)?;
+    let space = crate::space::slice_space(model, filter)?;
     let points = space.enumerate_filtered(filter);
     if points.is_empty() {
         return Err(format!("no design points match filter `{filter}`"));

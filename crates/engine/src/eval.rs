@@ -13,7 +13,8 @@
 
 use std::sync::Arc;
 
-use tpe_core::arch::{ArchKind, ArrayModel};
+use tpe_core::arch::array::support_area_um2;
+use tpe_core::arch::{ArchKind, PeStyle};
 use tpe_cost::process::{scale_area_um2, scale_power_w, ProcessNode};
 use tpe_obs::{Counter, Histogram, Registry};
 use tpe_workloads::NetworkModel;
@@ -184,11 +185,19 @@ impl<'c> Evaluator<'c> {
         let key = PeKey::of(spec);
         self.cache.pe_record(key, || {
             let _span = self.cache.eval_obs.synthesis_ns.span();
-            let design = match spec.kind {
-                ArchKind::Dense(_) => spec.arch_model().pe_design_for(spec.precision),
-                ArchKind::Serial => spec
-                    .style
-                    .design_with_encoding_for(spec.encoding, spec.precision),
+            // Dense baselines and OPT1 retrofits carry per-topology
+            // reduction logic; every other style is topology-free.
+            let design = match (spec.style, spec.kind) {
+                (PeStyle::TraditionalMac, ArchKind::Dense(arch)) => {
+                    PeStyle::dense_baseline_pe_for(arch, spec.precision)
+                }
+                (PeStyle::Opt1, ArchKind::Dense(arch)) => {
+                    PeStyle::Opt1.dense_opt1_pe_for(arch, spec.precision)
+                }
+                (style, ArchKind::Dense(_)) => style.design_for(spec.precision),
+                (style, ArchKind::Serial) => {
+                    style.design_with_encoding_for(spec.encoding, spec.precision)
+                }
             };
             let report = design.synthesize(spec.freq_ghz)?;
             Some(PeRecord {
@@ -216,7 +225,12 @@ impl<'c> Evaluator<'c> {
     /// multiplicand width, prefetch).
     pub fn support_area_um2(&self, spec: &EngineSpec) -> f64 {
         scale_area_um2(
-            ArrayModel::new(spec.arch_model()).support_area_um2_with(spec.encoding, spec.precision),
+            support_area_um2(
+                spec.style,
+                spec.pe_instances(),
+                spec.encoding,
+                spec.precision,
+            ),
             ProcessNode::SMIC28,
             spec.node,
         )

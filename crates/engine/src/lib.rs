@@ -30,8 +30,9 @@
 //!   [`MemorySpec`] memory corner), its stable label grammar (`@W4` /
 //!   `@edge`-style suffixes), and [`EnginePrice`], the array-level cost
 //!   assembly.
-//! * [`roster`] — the named Table VII registry (12 engines), the default
-//!   sweep corners, and label → spec lookup for serve queries.
+//! * [`roster`] — the named Table VII registry (12 engines) and its
+//!   assembled rows ([`roster::Table7Row`]), the default sweep corners,
+//!   and label → spec lookup for serve queries.
 //! * [`caps`] — the [`caps::SampleProfile`] table unifying every
 //!   serial-sampling budget the workspace uses.
 //! * [`cache`] — [`EngineCache`]: the concurrent memo cache and owner of
@@ -45,14 +46,17 @@
 //! * [`eval`] — [`Evaluator`]: one (engine, workload, seed) →
 //!   [`eval::Metrics`] / [`report::ModelReport`], bit-identical no matter
 //!   which consumer asks.
+//! * [`compare`] — the Figure 11–13 comparison of a serial engine against
+//!   an equal-area parallel-MAC array, per layer and per network.
 //! * [`par`] — [`par_map_ordered`], the order-preserving parallel map
 //!   behind the dse sweep and the model grid.
 //! * [`schedule`] / [`report`] — layer tiling onto array geometries and
 //!   the per-layer/end-to-end report schema.
 //! * [`render`] — the one JSON escape, the one reply envelope, and the
-//!   field tables ([`render::Row`]) that name and round every
-//!   [`eval::Metrics`] and [`report::ModelReport`] field in the serve
-//!   replies, `--json` documents and CSVs.
+//!   field tables ([`render::Row`], [`render::ENGINE_FIELDS`]) that name
+//!   and round every [`eval::Metrics`], [`report::ModelReport`] and
+//!   [`EnginePrice`] field in the serve replies, `--json` documents and
+//!   CSVs.
 //! * [`serve`] — the `repro serve` protocol: a std-only TCP/NDJSON batch
 //!   query server over one cache, instrumented end to end with `tpe-obs`
 //!   metrics recorded into that cache's registry
@@ -77,6 +81,7 @@
 
 pub mod cache;
 pub mod caps;
+pub mod compare;
 pub mod eval;
 pub mod par;
 pub mod render;

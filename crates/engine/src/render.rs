@@ -4,7 +4,7 @@
 //!
 //! A result row — [`Metrics`] for one layer or design point,
 //! [`ModelReport`] for a whole network — renders through its [`Row`]
-//! tables. Each entry is a field name, a decimal count and a getter, so a
+//! tables; an engine's [`EnginePrice`] through [`ENGINE_FIELDS`]. Each entry is a field name, a decimal count and a getter, so a
 //! field's name and precision are spelled once for the serve wire, the
 //! `--json` documents and the CSVs. The type's own fields
 //! ([`Row::CORE`]) come first, then the memory-roofline group both types
@@ -13,7 +13,7 @@
 
 use std::fmt::Write;
 
-use crate::{Bound, LayerReport, Metrics, ModelReport};
+use crate::{Bound, EnginePrice, LayerReport, Metrics, ModelReport};
 
 /// JSON string-content escaping: quotes, backslashes and control
 /// characters.
@@ -150,6 +150,17 @@ pub const LAYER_FIELDS: &[Field<LayerReport>] = &[
     field("energy_uj", 6, |l| Cell::Real(l.energy_uj)),
     field("bytes_moved", 0, |l| Cell::Real(l.bytes_moved)),
     field("bound", 0, |l| Cell::Label(l.bound.label())),
+];
+
+/// The priced-engine entries of the serve `engine` op, after its
+/// `feasible` flag.
+pub const ENGINE_FIELDS: &[Field<EnginePrice>] = &[
+    field("area_um2", 3, |p| Cell::Real(p.area_um2)),
+    field("e_active_fj", 4, |p| Cell::Real(p.e_active_fj)),
+    field("e_idle_fj", 4, |p| Cell::Real(p.e_idle_fj)),
+    field("instances", 0, |p| Cell::Real(p.instances)),
+    field("lanes_total", 0, |p| Cell::Real(p.lanes_total)),
+    field("peak_tops", 4, |p| Cell::Real(p.peak_tops)),
 ];
 
 /// Appends `fields` of `row` to `out` in `shape`. An absent (infeasible)

@@ -11,23 +11,24 @@
 //!   arrays clock every PE every cycle, so the busy fraction is 1 and
 //!   utilization is useful MACs over lane-cycles.
 //! * **Serial** — the layer maps multiplicand rows across the MP columns
-//!   and cycles are sampled from the shared encoder-parameterized
-//!   [`sample_serial_cycles`] model (Eq. 7's `sync` barrier: the slowest
-//!   column bounds each round), memoized in the process-wide
-//!   [`EngineCache`] on the exact (geometry, encoding, shape, seed, caps)
-//!   key. Utilization is the sampled busy fraction.
+//!   and cycles come from the shared encoder-parameterized
+//!   [`serial_cycle_stats`] model, sampled or closed-form (Eq. 7's `sync`
+//!   barrier: the slowest column bounds each round), memoized in the
+//!   process-wide [`EngineCache`] on the exact (geometry, encoding, shape,
+//!   seed, caps) key. Utilization is the modelled busy fraction.
 //!
 //! Per-layer RNG seeds are derived from [`fnv1a`](crate::fnv1a()) over the
 //! layer's index and name, so whole-model results never depend on
 //! evaluation order — the property the grid executor's byte-identical
 //! determinism rests on.
 //!
-//! [`sample_serial_cycles`]: tpe_core::arch::workload::sample_serial_cycles
+//! [`serial_cycle_stats`]: tpe_core::arch::workload::serial_cycle_stats
 
 use std::collections::HashMap;
 
-use tpe_core::arch::workload::{analytic_serial_cycles, sample_serial_cycles, SerialCycleStats};
-use tpe_core::arch::ArchKind;
+use tpe_arith::encode::Encoder;
+use tpe_core::arch::workload::{serial_cycle_stats, SerialCycleStats};
+use tpe_core::arch::{bitslice_config, ArchKind};
 use tpe_sim::array::ClassicArch;
 use tpe_sim::BitsliceConfig;
 use tpe_workloads::{LayerShape, NetworkModel};
@@ -238,18 +239,41 @@ pub fn cached_serial_cycles(
         let cfg = serial_config(spec);
         let encoder = spec.encoding.encoder();
         let a_bits = layer_a_bits(spec, layer);
-        let stats = match caps.model {
-            CycleModel::Sampled => {
-                let _span = cache.eval_obs.serial_sample_ns.span();
-                sample_serial_cycles(&cfg, encoder.as_ref(), a_bits, layer, seed, caps)
-            }
-            CycleModel::Analytic => {
-                let _span = cache.eval_obs.serial_analytic_ns.span();
-                analytic_serial_cycles(&cfg, encoder.as_ref(), a_bits, layer)
-            }
-        };
-        record_of(&stats)
+        serial_miss(
+            &cache.eval_obs,
+            &cfg,
+            encoder.as_ref(),
+            a_bits,
+            layer,
+            seed,
+            caps,
+        )
     })
+}
+
+/// One serial-cycle cache miss: the backend `caps.model` selects
+/// ([`serial_cycle_stats`]), timed under its own span
+/// (`eval_serial_sample_ns` or `eval_serial_analytic_ns`), collapsed into
+/// the memoized record. `cfg` and `encoder` come from the caller so a
+/// model walk builds them once, not once per layer.
+fn serial_miss(
+    obs: &EvalObs,
+    cfg: &BitsliceConfig,
+    encoder: &dyn Encoder,
+    a_bits: u32,
+    layer: &LayerShape,
+    seed: u64,
+    caps: SerialSampleCaps,
+) -> SerialLayerRecord {
+    let span = match caps.model {
+        CycleModel::Sampled => &obs.serial_sample_ns,
+        CycleModel::Analytic => &obs.serial_analytic_ns,
+    };
+    let stats = {
+        let _span = span.span();
+        serial_cycle_stats(cfg, encoder, a_bits, layer, seed, caps)
+    };
+    record_of(&stats)
 }
 
 /// Collapses per-column stats into the memoized record (bit-identically
@@ -311,7 +335,7 @@ pub fn schedule_layer_with(
 ///
 /// Panics if the engine is dense.
 pub fn serial_config(engine: &EngineSpec) -> BitsliceConfig {
-    let mut cfg = engine.arch_model().bitslice_config();
+    let mut cfg = bitslice_config(engine.style);
     cfg.encoding = engine.encoding;
     cfg
 }
@@ -541,24 +565,15 @@ pub(crate) fn assemble_model_record(
                     None => {
                         let rec = cache.serial_record(key, || {
                             let a_bits = layer_a_bits(spec, layer);
-                            let stats = match lcaps.model {
-                                CycleModel::Sampled => {
-                                    let _span = cache.eval_obs.serial_sample_ns.span();
-                                    sample_serial_cycles(
-                                        &cfg,
-                                        encoder.as_ref(),
-                                        a_bits,
-                                        layer,
-                                        lseed,
-                                        lcaps,
-                                    )
-                                }
-                                CycleModel::Analytic => {
-                                    let _span = cache.eval_obs.serial_analytic_ns.span();
-                                    analytic_serial_cycles(&cfg, encoder.as_ref(), a_bits, layer)
-                                }
-                            };
-                            record_of(&stats)
+                            serial_miss(
+                                &cache.eval_obs,
+                                &cfg,
+                                encoder.as_ref(),
+                                a_bits,
+                                layer,
+                                lseed,
+                                lcaps,
+                            )
                         });
                         seen.insert(key, rec);
                         rec
@@ -583,6 +598,7 @@ mod tests {
     use super::*;
     use crate::fnv1a;
     use tpe_arith::encode::EncodingKind;
+    use tpe_core::arch::workload::sample_serial_cycles;
     use tpe_core::arch::PeStyle;
     use tpe_workloads::img2col::ConvShape;
     use tpe_workloads::models;

@@ -112,7 +112,7 @@ use tpe_workloads::{LayerShape, NetworkModel};
 use crate::cache::EngineCache;
 use crate::caps::CycleModel;
 use crate::eval::Evaluator;
-use crate::render::{error_line, json_escape, ok_line, write_fields, Row, Shape};
+use crate::render::{error_line, json_escape, ok_line, write_fields, Row, Shape, ENGINE_FIELDS};
 use crate::roster;
 use crate::spec::{EngineSpec, MemorySpec};
 use crate::workload::SweepWorkload;
@@ -606,24 +606,13 @@ fn respond(
     match op {
         "engine" => {
             let spec = resolve_engine(fields)?;
-            let body = match eval.price(&spec) {
-                Some(p) => format!(
-                    "\"op\":\"engine\",\"engine\":\"{}\",\"feasible\":true,\
-                     \"area_um2\":{:.3},\"e_active_fj\":{:.4},\"e_idle_fj\":{:.4},\
-                     \"instances\":{:.0},\"lanes_total\":{:.0},\"peak_tops\":{:.4}",
-                    json_escape(&spec.label()),
-                    p.area_um2,
-                    p.e_active_fj,
-                    p.e_idle_fj,
-                    p.instances,
-                    p.lanes_total,
-                    p.peak_tops
-                ),
-                None => format!(
-                    "\"op\":\"engine\",\"engine\":\"{}\",\"feasible\":false",
-                    json_escape(&spec.label())
-                ),
-            };
+            let price = eval.price(&spec);
+            let mut body = format!(
+                "\"op\":\"engine\",\"engine\":\"{}\",\"feasible\":{}",
+                json_escape(&spec.label()),
+                price.is_some()
+            );
+            write_fields(&mut body, ENGINE_FIELDS, price.as_ref(), Shape::Wire);
             one(body)
         }
         "layer" => {

@@ -12,7 +12,7 @@ use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
 use tpe_core::arch::array::ARRAY_OVERHEAD_FRAC;
 use tpe_core::arch::workload::effective_numpps_at;
-use tpe_core::arch::{ArchKind, ArchModel, PeStyle};
+use tpe_core::arch::{ArchKind, PeStyle};
 use tpe_cost::process::ProcessNode;
 use tpe_sim::array::ClassicArch;
 
@@ -313,17 +313,6 @@ impl EngineSpec {
         match self.kind {
             ArchKind::Dense(ClassicArch::Ascend) => 1000,
             _ => 1024,
-        }
-    }
-
-    /// The equivalent `tpe-core` architecture model.
-    pub fn arch_model(&self) -> ArchModel {
-        ArchModel {
-            name: self.arch_label(),
-            style: self.style,
-            kind: self.kind,
-            pe_instances: self.pe_instances(),
-            freq_ghz: self.freq_ghz,
         }
     }
 

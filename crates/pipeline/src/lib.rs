@@ -35,7 +35,8 @@
 //! ## Quickstart
 //!
 //! ```
-//! use tpe_pipeline::{run_grid, EngineSpec, GridConfig};
+//! use tpe_engine::EngineSpec;
+//! use tpe_pipeline::{run_grid, GridConfig};
 //! use tpe_workloads::models;
 //!
 //! let models = vec![models::resnet18()];
@@ -53,15 +54,4 @@
 
 pub mod grid;
 
-/// The canonical engine-spec module (re-exported from `tpe-engine`, where
-/// the implementation moved).
-pub use tpe_engine::spec as engine;
-
 pub use grid::{run_grid, GridConfig, GridOutcome, ModelRun};
-pub use tpe_engine::fnv1a;
-pub use tpe_engine::report::{LayerReport, ModelReport};
-pub use tpe_engine::schedule::{
-    dense_model_cycles, dense_tiles, evaluate_model_with, schedule_layer_with, serial_model_cycles,
-    MODEL_SAMPLE_CAPS,
-};
-pub use tpe_engine::spec::{EnginePrice, EngineSpec};

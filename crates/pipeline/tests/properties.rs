@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use tpe_arith::encode::EncodingKind;
 use tpe_core::arch::PeStyle;
-use tpe_engine::EngineCache;
-use tpe_pipeline::{evaluate_model_with, run_grid, EngineSpec, GridConfig, MODEL_SAMPLE_CAPS};
+use tpe_engine::{evaluate_model_with, EngineCache, EngineSpec, MODEL_SAMPLE_CAPS};
+use tpe_pipeline::{run_grid, GridConfig};
 use tpe_sim::array::ClassicArch;
 use tpe_workloads::models;
 use tpe_workloads::{LayerShape, NetworkModel};

@@ -5,18 +5,16 @@
 //! cargo run --release --example dnn_inference
 //! ```
 
-use tpe::core::arch::workload::{
-    dense_layer, equal_area_lane_scale, evaluate_network, serial_layer,
-};
-use tpe::core::arch::ArchModel;
+use tpe::core::arch::workload::dense_layer;
+use tpe::engine::compare::{equal_area_scale, evaluate_network, serial_layer};
+use tpe::engine::{roster, EngineCache, Evaluator};
 use tpe::workloads::models;
 
 fn main() {
-    let opt4e = ArchModel::table7_ours()
-        .into_iter()
-        .find(|a| a.name == "OPT4E")
-        .expect("OPT4E configured");
-    let scale = equal_area_lane_scale(&opt4e);
+    let eval = Evaluator::new(EngineCache::global());
+    let opt4e = roster::find("OPT4E[EN-T]").expect("OPT4E on the Table VII roster");
+    let price = eval.price(&opt4e).expect("OPT4E prices at its paper clock");
+    let scale = equal_area_scale(&eval, &opt4e);
     println!("area equalization: OPT4E array ≈ {scale:.2}× the 32×32 MAC array silicon\n");
 
     println!("== GPT-2 decode sublayers (one token, 1024-token KV cache) ==");
@@ -25,7 +23,7 @@ fn main() {
         "sublayer", "K", "MAC (us)", "OPT4E (us)", "speedup", "util%"
     );
     for (i, layer) in models::gpt2_decode_sublayers("L0", 1024).iter().enumerate() {
-        let s = serial_layer(&opt4e, layer, 100 + i as u64);
+        let s = serial_layer(&eval, &opt4e, &price, layer, 100 + i as u64);
         let d = dense_layer(layer, 1.0, scale);
         println!(
             "{:<14} {:>6} {:>12.3} {:>12.3} {:>8.2} {:>7.1}",
@@ -49,10 +47,10 @@ fn main() {
         models::vit_b16(),
         models::gpt2(),
     ] {
-        let r = evaluate_network(&opt4e, &net, 42);
+        let r = evaluate_network(&eval, &opt4e, &net, 42);
         println!(
             "{:<16} {:>8.2} {:>14.3} {:>7.1}",
-            r.name,
+            net.name,
             r.speedup,
             r.energy_ratio,
             r.utilization * 100.0

@@ -27,24 +27,25 @@
 //! * [`core`] — the paper's contribution: the compute-centric loop-nest
 //!   notation, legality-checked transformations, the OPT1–OPT4E processing
 //!   element architectures, analytic models and published baselines.
-//! * [`engine`] — the canonical evaluation stack: engine specs and the
-//!   Table VII roster, the process-wide concurrent cache, the single
-//!   evaluator every consumer shares, and the `repro serve` NDJSON batch
-//!   query protocol.
+//! * [`engine`] — the one evaluation path every paper claim runs through:
+//!   engine specs, the Table VII roster and its rows, the concurrent
+//!   cache, the evaluator every consumer shares, whole-model scheduling,
+//!   the Figure 11–13 equal-area comparison, and the `repro serve` NDJSON
+//!   batch query protocol.
 //! * [`obs`] — std-only observability: atomic counters/gauges, log2
-//!   latency histograms, a process-wide metric registry and scoped span
-//!   timers, surfaced through the serve `metrics` op and `repro profile`.
-//! * [`pipeline`] — the model-level scheduling pipeline: whole networks
-//!   from the layer database run end-to-end (img2col tiling → per-layer
-//!   cycle/energy models → aggregated latency, TOPS/W and utilization) on
-//!   any dense or serial engine, in a deterministic parallel grid
-//!   (`repro models`).
+//!   latency histograms, per-instance metric registries (each engine
+//!   cache owns one) and scoped span timers, surfaced through the serve
+//!   `metrics` op and `repro profile`.
+//! * [`pipeline`] — the deterministic parallel (model × engine) grid
+//!   executor behind `repro models`; the scheduling and reports it runs
+//!   live in [`engine`].
 //! * [`dse`] — parallel design-space exploration over all of the above:
 //!   enumerate (PE style × topology × encoding × operand precision ×
-//!   corner × workload) points — workloads being single layers *or whole
-//!   networks*, precisions spanning the W4/W8/W16 ladder plus asymmetric
-//!   presets — sweep them on scoped worker threads with a memoized
-//!   synthesis cache, and extract area/delay/energy Pareto fronts
+//!   corner × memory corner × workload) points — workloads being single
+//!   layers *or whole networks*, precisions spanning the W4/W8/W16 ladder
+//!   plus asymmetric presets — evaluate them through the engine's shared
+//!   cache with `engine::par_map_ordered`, and extract
+//!   area/delay/energy Pareto fronts
 //!   (`repro dse [--model NAME] [--precision W4,..]`,
 //!   `examples/design_space_sweep.rs`).
 //!

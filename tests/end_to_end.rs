@@ -4,7 +4,7 @@
 //! each architecture consistently.
 
 use tpe::arith::encode::EncodingKind;
-use tpe::core::arch::{ArchModel, ArrayModel, PeStyle};
+use tpe::core::arch::PeStyle;
 use tpe::core::notation::interp::execute;
 use tpe::core::notation::nests;
 use tpe::sim::array::ClassicArch;
@@ -45,11 +45,8 @@ fn one_gemm_through_the_whole_stack() {
 
 #[test]
 fn every_table7_architecture_synthesizes_and_prices() {
-    for arch in ArchModel::table7_baselines()
-        .into_iter()
-        .chain(ArchModel::table7_ours())
-    {
-        let row = ArrayModel::new(arch.clone()).table7_row();
+    for spec in tpe::engine::roster::paper_roster() {
+        let row = tpe::engine::roster::table7_row(&spec);
         assert!(
             row.area_um2 > 1e5 && row.area_um2 < 1e6,
             "{}: {}",

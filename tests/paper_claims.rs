@@ -1,23 +1,28 @@
 //! The paper's headline claims, each as an executable assertion.
 //!
-//! These tests are the EXPERIMENTS.md contract: when one of them moves, the
-//! reproduction has drifted from the paper.
+//! Each test checks the numbers a `repro` command prints (Table VII rows
+//! from the `tpe-engine` roster, the Figure 13 comparison from
+//! `tpe_engine::compare`), so when one of them moves, the reproduction
+//! has drifted from the paper.
 
 use tpe::arith::encode::{Encoder, EncodingKind, EntEncoder};
 use tpe::core::analytic::{numpps, sync_model};
-use tpe::core::arch::{ArchModel, ArrayModel, PeStyle};
+use tpe::core::arch::PeStyle;
 use tpe::cost::anchors;
+use tpe::engine::roster::{self, table7_row, Table7Row};
+use tpe::engine::{EngineCache, Evaluator};
+
+/// The Table VII rows `repro table7` prints.
+fn table7_rows() -> Vec<Table7Row> {
+    roster::paper_roster().iter().map(table7_row).collect()
+}
 
 /// §Abstract: "we achieved area efficiency improvements of 1.27×, 1.28×,
 /// 1.56×, and 1.44×" for the four classic architectures. Our model
 /// reproduces improvements in the 1.2–1.6 band for all four.
 #[test]
 fn abstract_area_efficiency_improvements() {
-    let rows: Vec<_> = ArchModel::table7_baselines()
-        .into_iter()
-        .chain(ArchModel::table7_ours())
-        .map(|a| ArrayModel::new(a).table7_row())
-        .collect();
+    let rows = table7_rows();
     let ae = |name: &str| {
         rows.iter()
             .find(|r| r.name == name)
@@ -42,11 +47,10 @@ fn abstract_area_efficiency_improvements() {
 /// efficiency compared to Laconic". Direction and scale must hold.
 #[test]
 fn abstract_opt4e_vs_laconic() {
-    let opt4e = ArchModel::table7_ours()
+    let row = table7_rows()
         .into_iter()
-        .find(|a| a.name == "OPT4E")
+        .find(|r| r.name == "OPT4E")
         .unwrap();
-    let row = ArrayModel::new(opt4e).table7_row();
     let rel =
         tpe::core::baselines::vs_laconic("OPT4E", row.energy_efficiency(), row.area_efficiency());
     assert!(
@@ -167,12 +171,10 @@ fn figure9_efficiency_knees() {
 /// (paper ×2.16), and energy is saved.
 #[test]
 fn gpt2_speedup_claim() {
-    use tpe::core::arch::workload::evaluate_network;
-    let opt4e = ArchModel::table7_ours()
-        .into_iter()
-        .find(|a| a.name == "OPT4E")
-        .unwrap();
-    let r = evaluate_network(&opt4e, &tpe::workloads::models::gpt2(), 3);
+    use tpe::engine::compare::evaluate_network;
+    let opt4e = roster::find("OPT4E[EN-T]").unwrap();
+    let eval = Evaluator::new(EngineCache::global());
+    let r = evaluate_network(&eval, &opt4e, &tpe::workloads::models::gpt2(), 3);
     assert!(
         (1.7..2.6).contains(&r.speedup),
         "GPT-2 speedup ×{:.2}",
